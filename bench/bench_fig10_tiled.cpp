@@ -7,6 +7,8 @@
 // large groups.
 #include "bench_util.hpp"
 
+#include "mog/common/strutil.hpp"
+
 namespace mog::bench {
 namespace {
 
@@ -17,7 +19,7 @@ void tiled(benchmark::State& state) {
   cfg.tiled = true;
   cfg.tiled_config.frame_group = group;
   if (cfg.frames < 2 * group) cfg.frames = 2 * group;
-  run_and_record(state, "g" + std::to_string(group), cfg);
+  run_and_record(state, strprintf("g%d", group), cfg);
   state.counters["group"] = group;
 }
 BENCHMARK(tiled)
@@ -64,7 +66,7 @@ void epilogue() {
   const double paper_speedup[6] = {0, 0, 0, 101, 0, 0};
   int i = 0;
   for (const int g : {1, 2, 4, 8, 16, 32}) {
-    const auto& r = Registry::instance().get("g" + std::to_string(g));
+    const auto& r = Registry::instance().get(strprintf("g%d", g));
     // Latency until a frame's mask is available: the whole group must finish.
     const double group_latency_ms =
         1e3 * r.kernel_timing.total_seconds * fullhd_ratio(r.config) * g;

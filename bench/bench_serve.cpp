@@ -1,108 +1,26 @@
-// Serving-layer scaling: N camera streams multiplexed onto one simulated
-// device through serve::StreamServer.
+// Serving-layer scaling: N camera streams multiplexed onto simulated devices
+// through cluster::DeviceFleet, the public serving type.
 //
-// For streams in {1, 2, 4, 8} every stream submits the full frame budget at
+// For streams in {1, 2, 4, 8} on one device (the s* cases: a fleet of one
+// is a single-device server) every stream submits the full frame budget at
 // t = 0 and the scheduler drains the backlog; the report captures the
 // aggregate modeled throughput, the end-to-end latency distribution
 // (arrival -> mask download complete), and the shared-device makespan. One
 // stream reproduces the Fig. 5(b) overlapped pipeline; more streams trade
 // per-stream latency for aggregate throughput on the single copy engine —
 // the serving-layer analogue of the paper's transfer/kernel overlap story.
-// The fleet benches extend the surface to devices x streams: the same backlog
-// sharded across N single-device planes by cluster::DeviceFleet, plus
-// device-loss runs where device 0 dies mid-backlog and its streams fail over
-// live (model checkpoint carried across, queued frames requeued).
+// The d*s* cases extend the surface to devices x streams: the same backlog
+// sharded across N single-device planes, plus device-loss runs where device
+// 0 dies mid-backlog and its streams fail over live (model checkpoint
+// carried across, queued frames requeued).
 #include "bench_util.hpp"
 
 #include "mog/cluster/device_fleet.hpp"
-#include "mog/serve/stream_server.hpp"
+#include "mog/common/strutil.hpp"
 #include "mog/video/scene.hpp"
 
 namespace mog::bench {
 namespace {
-
-struct ServeResult {
-  int streams = 0;
-  int frames_per_stream = 0;
-  double makespan_seconds = 0;
-  double aggregate_fps = 0;
-  telemetry::Rollup latency;
-  std::uint64_t masks = 0;
-};
-
-std::map<int, ServeResult>& serve_results() {
-  static std::map<int, ServeResult> r;
-  return r;
-}
-
-void serve_streams(benchmark::State& state) {
-  const int streams = static_cast<int>(state.range(0));
-  const ExperimentConfig base = base_config();
-
-  ServeResult result;
-  const auto wall_start = std::chrono::steady_clock::now();
-  for (auto _ : state) {
-    serve::ServeConfig cfg;
-    cfg.max_streams = streams;
-    cfg.queue_depth = static_cast<std::size_t>(base.frames);
-    cfg.collect_masks = false;  // counters only; masks would dominate memory
-    serve::StreamServer<double> server{cfg};
-
-    serve::StreamServer<double>::GpuConfig gpu;
-    gpu.width = base.width;
-    gpu.height = base.height;
-    gpu.level = kernels::OptLevel::kF;
-    for (int s = 0; s < streams; ++s) server.open_stream(gpu);
-
-    for (int s = 0; s < streams; ++s) {
-      SceneConfig sc;
-      sc.width = base.width;
-      sc.height = base.height;
-      sc.seed = 1000 + static_cast<std::uint64_t>(s);
-      const SyntheticScene scene{sc};
-      for (int t = 0; t < base.frames; ++t)
-        server.submit(s, scene.frame(t));
-    }
-    server.drain();
-
-    result.streams = streams;
-    result.frames_per_stream = base.frames;
-    result.makespan_seconds = server.makespan_seconds();
-    result.masks = server.masks_delivered();
-    result.aggregate_fps =
-        static_cast<double>(result.masks) / result.makespan_seconds;
-    result.latency = server.aggregate_latency_rollup();
-  }
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - wall_start)
-          .count();
-
-  state.counters["streams"] = streams;
-  state.counters["aggregate_fps"] = result.aggregate_fps;
-  state.counters["latency_p99_ms"] = 1e3 * result.latency.p99;
-  serve_results()[streams] = result;
-
-  reporter().set_workload(base.width, base.height, base.frames);
-  reporter()
-      .add_case("s" + std::to_string(streams))
-      .metric("aggregate_fps", result.aggregate_fps)
-      .metric("makespan_seconds", result.makespan_seconds)
-      .metric("latency_p50_ms", 1e3 * result.latency.p50)
-      .metric("latency_p99_ms", 1e3 * result.latency.p99)
-      .metric("latency_mean_ms", 1e3 * result.latency.mean)
-      .metric("masks_delivered", static_cast<double>(result.masks))
-      .metric("wall_ms", wall_ms);
-}
-BENCHMARK(serve_streams)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-// --- device fleet: devices x streams, with and without device loss ----------
 
 struct FleetResult {
   int devices = 0;
@@ -131,16 +49,16 @@ FleetResult run_fleet(int devices, int streams, bool kill_device_zero) {
   cfg.devices = static_cast<std::size_t>(devices);
   cfg.serve.max_streams = streams;  // per device: room to absorb failover
   cfg.serve.queue_depth = static_cast<std::size_t>(2 * base.frames);
-  cfg.serve.collect_masks = false;
+  cfg.serve.collect_masks = false;  // counters only; masks would dominate
   cluster::DeviceFleet<double> fleet{cfg};
 
-  typename serve::StreamServer<double>::GpuConfig gpu;
+  cluster::DeviceFleet<double>::GpuConfig gpu;
   gpu.width = base.width;
   gpu.height = base.height;
   gpu.level = kernels::OptLevel::kF;
   std::vector<int> ids;
   for (int s = 0; s < streams; ++s)
-    ids.push_back(fleet.open_stream(gpu, nullptr, "cam" + std::to_string(s)));
+    ids.push_back(fleet.open_stream(gpu, nullptr, strprintf("cam%d", s)));
 
   std::vector<SyntheticScene> scenes;
   for (int s = 0; s < streams; ++s) {
@@ -178,34 +96,67 @@ FleetResult run_fleet(int devices, int streams, bool kill_device_zero) {
   return r;
 }
 
-void fleet_surface(benchmark::State& state) {
-  const int devices = static_cast<int>(state.range(0));
-  const int streams = static_cast<int>(state.range(1));
-  const ExperimentConfig base = base_config();
-
+/// Time one run_fleet() shape as a benchmark case, keep the result for the
+/// epilogue under `name`, and return it with its wall time.
+FleetResult timed_fleet(benchmark::State& state, const std::string& name,
+                        int devices, int streams, bool kill_device_zero,
+                        double& wall_ms) {
   FleetResult result;
   const auto wall_start = std::chrono::steady_clock::now();
-  for (auto _ : state) result = run_fleet(devices, streams, false);
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - wall_start)
-          .count();
-
+  for (auto _ : state) result = run_fleet(devices, streams, kill_device_zero);
+  wall_ms = std::chrono::duration<double, std::milli>(
+                std::chrono::steady_clock::now() - wall_start)
+                .count();
   state.counters["devices"] = devices;
   state.counters["streams"] = streams;
   state.counters["aggregate_fps"] = result.aggregate_fps;
-  const std::string name =
-      "d" + std::to_string(devices) + "s" + std::to_string(streams);
   fleet_results()[name] = result;
-
+  const ExperimentConfig base = base_config();
   reporter().set_workload(base.width, base.height, base.frames);
+  return result;
+}
+
+/// Streams sharing one device: the single-device server surface.
+void serve_streams(benchmark::State& state) {
+  const int streams = static_cast<int>(state.range(0));
+  const std::string name = strprintf("s%d", streams);
+  double wall_ms = 0;
+  const FleetResult r = timed_fleet(state, name, 1, streams, false, wall_ms);
+  state.counters["latency_p99_ms"] = 1e3 * r.latency.p99;
   reporter()
       .add_case(name)
-      .metric("aggregate_fps", result.aggregate_fps)
-      .metric("makespan_seconds", result.makespan_seconds)
-      .metric("latency_p50_ms", 1e3 * result.latency.p50)
-      .metric("latency_p99_ms", 1e3 * result.latency.p99)
-      .metric("masks_delivered", static_cast<double>(result.masks))
+      .metric("aggregate_fps", r.aggregate_fps)
+      .metric("makespan_seconds", r.makespan_seconds)
+      .metric("latency_p50_ms", 1e3 * r.latency.p50)
+      .metric("latency_p99_ms", 1e3 * r.latency.p99)
+      .metric("latency_mean_ms", 1e3 * r.latency.mean)
+      .metric("masks_delivered", static_cast<double>(r.masks))
+      .metric("wall_ms", wall_ms);
+}
+BENCHMARK(serve_streams)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->Iterations(1)
+    ->Unit(benchmark::kMillisecond);
+
+// --- device fleet: devices x streams, with and without device loss ----------
+
+void fleet_surface(benchmark::State& state) {
+  const int devices = static_cast<int>(state.range(0));
+  const int streams = static_cast<int>(state.range(1));
+  const std::string name = strprintf("d%ds%d", devices, streams);
+  double wall_ms = 0;
+  const FleetResult r =
+      timed_fleet(state, name, devices, streams, false, wall_ms);
+  reporter()
+      .add_case(name)
+      .metric("aggregate_fps", r.aggregate_fps)
+      .metric("makespan_seconds", r.makespan_seconds)
+      .metric("latency_p50_ms", 1e3 * r.latency.p50)
+      .metric("latency_p99_ms", 1e3 * r.latency.p99)
+      .metric("masks_delivered", static_cast<double>(r.masks))
       .metric("wall_ms", wall_ms);
 }
 BENCHMARK(fleet_surface)
@@ -221,48 +172,36 @@ BENCHMARK(fleet_surface)
 void fleet_device_loss(benchmark::State& state) {
   const int devices = static_cast<int>(state.range(0));
   const int streams = static_cast<int>(state.range(1));
-  const ExperimentConfig base = base_config();
-
-  FleetResult result;
-  const auto wall_start = std::chrono::steady_clock::now();
-  for (auto _ : state) result = run_fleet(devices, streams, true);
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - wall_start)
-          .count();
+  const std::string fault_free_name = strprintf("d%ds%d", devices, streams);
+  const std::string name = "loss_" + fault_free_name;
+  double wall_ms = 0;
+  const FleetResult r =
+      timed_fleet(state, name, devices, streams, true, wall_ms);
 
   // The fault-free run with the same shape is the latency yardstick: the
   // acceptance bar is zero admitted-frame loss and surviving-device p99
   // within 2x of fault-free.
-  const std::string fault_free_name =
-      "d" + std::to_string(devices) + "s" + std::to_string(streams);
   const double fault_free_p99 =
       fleet_results().count(fault_free_name) != 0
           ? fleet_results()[fault_free_name].latency.p99
           : 0.0;
   const double p99_ratio =
-      fault_free_p99 > 0 ? result.latency.p99 / fault_free_p99 : 0.0;
-
-  state.counters["devices"] = devices;
-  state.counters["streams"] = streams;
-  state.counters["frames_dropped"] = static_cast<double>(result.dropped);
+      fault_free_p99 > 0 ? r.latency.p99 / fault_free_p99 : 0.0;
+  state.counters["frames_dropped"] = static_cast<double>(r.dropped);
   state.counters["p99_vs_fault_free"] = p99_ratio;
-  const std::string name = "loss_" + fault_free_name;
-  fleet_results()[name] = result;
 
-  reporter().set_workload(base.width, base.height, base.frames);
   reporter()
       .add_case(name)
-      .metric("aggregate_fps", result.aggregate_fps)
-      .metric("makespan_seconds", result.makespan_seconds)
-      .metric("latency_p99_ms", 1e3 * result.latency.p99)
+      .metric("aggregate_fps", r.aggregate_fps)
+      .metric("makespan_seconds", r.makespan_seconds)
+      .metric("latency_p99_ms", 1e3 * r.latency.p99)
       .metric("p99_vs_fault_free", p99_ratio)
-      .metric("masks_delivered", static_cast<double>(result.masks))
-      .metric("frames_dropped", static_cast<double>(result.dropped))
+      .metric("masks_delivered", static_cast<double>(r.masks))
+      .metric("frames_dropped", static_cast<double>(r.dropped))
       .metric("migrations_completed",
-              static_cast<double>(result.migrations.completed))
+              static_cast<double>(r.migrations.completed))
       .metric("frames_requeued",
-              static_cast<double>(result.migrations.frames_requeued))
+              static_cast<double>(r.migrations.frames_requeued))
       .metric("wall_ms", wall_ms);
 }
 BENCHMARK(fleet_device_loss)
@@ -273,12 +212,15 @@ BENCHMARK(fleet_device_loss)
 
 void epilogue() {
   std::vector<Row> rows;
-  const double base_fps = serve_results().count(1) != 0
-                              ? serve_results()[1].aggregate_fps
+  const double base_fps = fleet_results().count("s1") != 0
+                              ? fleet_results()["s1"].aggregate_fps
                               : 0.0;
-  for (const auto& [streams, r] : serve_results()) {
+  for (const int streams : {1, 2, 4, 8}) {
+    const auto it = fleet_results().find(strprintf("s%d", streams));
+    if (it == fleet_results().end()) continue;
+    const FleetResult& r = it->second;
     rows.push_back(
-        Row{"streams=" + std::to_string(streams),
+        Row{strprintf("streams=%d", streams),
             {static_cast<double>(streams), r.aggregate_fps,
              base_fps > 0 ? r.aggregate_fps / base_fps : 0.0,
              1e3 * r.latency.p50, 1e3 * r.latency.p99,
@@ -294,6 +236,7 @@ void epilogue() {
   std::vector<Row> surface;
   std::vector<Row> loss;
   for (const auto& [name, r] : fleet_results()) {
+    if (name[0] == 's') continue;  // the one-device table above
     if (!r.device_loss) {
       surface.push_back(Row{name,
                             {static_cast<double>(r.devices),

@@ -13,11 +13,28 @@
 
 namespace mog::cluster {
 
+namespace {
+
+/// Consistent-hash ring smoothing: virtual nodes per device.
+constexpr int kVnodesPerDevice = 64;
+
+/// Degradation strikes (streams stepping down the recovery ladder) charged
+/// to a device before it is declared lost and its streams migrate away.
+constexpr int kDeviceLossStrikes = 1;
+
+obs::LabelSet device_label(std::size_t d) {
+  return {{"device", strprintf("%zu", d)}};
+}
+
+obs::LabelSet stream_label(std::size_t d, std::size_t stream) {
+  return {{"device", strprintf("%zu", d)},
+          {"stream", strprintf("%zu", stream)}};
+}
+
+}  // namespace
+
 void FleetConfig::validate() const {
   MOG_CHECK(devices >= 1, "a fleet needs at least one device");
-  MOG_CHECK(vnodes_per_device >= 1, "ring needs at least one vnode");
-  MOG_CHECK(device_loss_strikes >= 1,
-            "device loss needs at least one strike");
   MOG_CHECK(obs_port <= 65535, "obs_port out of range");
   serve.validate();
 }
@@ -39,15 +56,12 @@ std::string MigrationStats::summary() const {
 
 template <typename T>
 DeviceFleet<T>::DeviceFleet(const FleetConfig& config)
-    : config_(config), scheduler_(config.vnodes_per_device) {
+    : config_(config), scheduler_(kVnodesPerDevice) {
   config_.validate();
-  serve::ServeConfig member = config_.serve;
-  member.obs_port = -1;  // the fleet owns the observability endpoint
   nodes_.reserve(static_cast<std::size_t>(config_.devices));
   for (int d = 0; d < config_.devices; ++d) {
-    member.profile_label = strprintf("dev%d", d);
     DeviceNode node;
-    node.server = std::make_unique<serve::StreamServer<T>>(member);
+    node.server = std::make_unique<serve::StreamServer<T>>(config_.serve, d);
     nodes_.push_back(std::move(node));
     scheduler_.add_device(d);
   }
@@ -156,12 +170,10 @@ int DeviceFleet<T>::open_stream(const GpuConfig& gpu_config,
                                    : fault::ExecutionTier::kGpuDirect;
   const int d = open_on_some_device_locked(rec, /*exclude_device=*/-1);
   if (d < 0) {
-    int alive = 0;
-    for (const DeviceNode& node : nodes_) alive += node.alive ? 1 : 0;
     throw serve::AdmissionError{strprintf(
         "stream refused: every alive device is at capacity (%d devices, "
         "%d alive)",
-        static_cast<int>(nodes_.size()), alive)};
+        static_cast<int>(nodes_.size()), alive_locked())};
   }
   recs_.push_back(std::move(rec));
   log_.info("stream placed",
@@ -278,7 +290,7 @@ void DeviceFleet<T>::supervise_locked() {
     rec.last_tier = tier;
   }
   for (std::size_t d = 0; d < nodes_.size(); ++d)
-    if (nodes_[d].alive && nodes_[d].strikes >= config_.device_loss_strikes)
+    if (nodes_[d].alive && nodes_[d].strikes >= kDeviceLossStrikes)
       declare_lost_locked(static_cast<int>(d), "degradation strikes");
 }
 
@@ -289,7 +301,6 @@ void DeviceFleet<T>::declare_lost_locked(int d, const char* reason) {
   node.alive = false;
   log_.error("device lost",
              {{"device", d}, {"reason", reason}, {"strikes", node.strikes}});
-  if (!config_.auto_migrate) return;
   for (std::size_t i = 0; i < recs_.size(); ++i)
     if (recs_[i].open && recs_[i].device == d)
       migrate_stream_locked(static_cast<int>(i));
@@ -362,10 +373,6 @@ bool DeviceFleet<T>::migrate_stream_locked(int id) {
                           std::make_move_iterator(masks.begin()),
                           std::make_move_iterator(masks.end()));
   }
-  {
-    const std::vector<double> lat = src.latency_samples(local);
-    rec.latency_stash.insert(rec.latency_stash.end(), lat.begin(), lat.end());
-  }
   src.close_stream(local);
 
   // 5. Requeue the stolen frames on the target, oldest first.
@@ -401,6 +408,11 @@ int DeviceFleet<T>::devices() const {
 template <typename T>
 int DeviceFleet<T>::alive_devices() const {
   std::lock_guard<std::mutex> lock(mu_);
+  return alive_locked();
+}
+
+template <typename T>
+int DeviceFleet<T>::alive_locked() const {
   int n = 0;
   for (const DeviceNode& node : nodes_) n += node.alive ? 1 : 0;
   return n;
@@ -452,18 +464,6 @@ FleetStreamInfo DeviceFleet<T>::stream_info(int id) const {
 template <typename T>
 const MigrationStats& DeviceFleet<T>::migration_stats() const {
   return migration_stats_;
-}
-
-template <typename T>
-telemetry::Rollup DeviceFleet<T>::latency_rollup(int id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const StreamRec& rec = rec_at(id);
-  std::vector<double> all = rec.latency_stash;
-  const std::vector<double> cur =
-      nodes_[static_cast<std::size_t>(rec.device)].server->latency_samples(
-          rec.local_id);
-  all.insert(all.end(), cur.begin(), cur.end());
-  return telemetry::make_rollup(all);
 }
 
 template <typename T>
@@ -542,183 +542,181 @@ const typename DeviceFleet<T>::StreamRec& DeviceFleet<T>::rec_at(
 
 template <typename T>
 std::string DeviceFleet<T>::metrics_text() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return metrics_text_locked();
-}
-
-template <typename T>
-std::string DeviceFleet<T>::metrics_text_locked() const {
-  using obs::MetricFamily;
   using obs::MetricType;
-  std::vector<MetricFamily> families;
+  using Stats = serve::StreamStats;
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<serve::PlaneSnapshot> planes;
+  for (const DeviceNode& node : nodes_)
+    planes.push_back(node.server->snapshot());
 
-  const auto device_label = [](std::size_t d) {
-    return obs::LabelSet{{"device", strprintf("%zu", d)}};
+  // Every family is added exactly once, here. The helpers render one sample
+  // per device node, per fleet stream, or per plane stream (labelled by its
+  // device and plane-local id).
+  std::vector<obs::MetricFamily> families;
+  const auto per_device = [&](const char* name, const char* help, auto value) {
+    obs::MetricFamily& f = obs::add_family(families, name, help);
+    for (std::size_t d = 0; d < nodes_.size(); ++d)
+      f.samples.push_back({device_label(d), static_cast<double>(value(d))});
+  };
+  const auto per_fleet_stream = [&](const char* name, const char* help,
+                                    MetricType type, auto value) {
+    obs::MetricFamily& f = obs::add_family(families, name, help, type);
+    for (std::size_t i = 0; i < recs_.size(); ++i)
+      f.samples.push_back({{{"stream", strprintf("%zu", i)}},
+                           static_cast<double>(value(recs_[i]))});
+  };
+  const auto per_stream = [&](const char* name, const char* help,
+                              MetricType type, auto value) {
+    obs::MetricFamily& f = obs::add_family(families, name, help, type);
+    for (std::size_t d = 0; d < planes.size(); ++d)
+      for (std::size_t i = 0; i < planes[d].streams.size(); ++i)
+        f.samples.push_back(
+            {stream_label(d, i),
+             static_cast<double>(value(planes[d].streams[i].stats))});
   };
 
+  // Fleet level: liveness, strikes, migrations, stream placement.
+  const int alive = alive_locked();
+  obs::add_family(families, "mog_fleet_devices",
+                  "Device nodes by liveness state")
+      .samples = {{{{"state", "alive"}}, static_cast<double>(alive)},
+                  {{{"state", "lost"}},
+                   static_cast<double>(nodes_.size()) - alive}};
+  per_device("mog_fleet_device_up",
+             "1 while the device node is alive, 0 once declared lost",
+             [&](std::size_t d) { return nodes_[d].alive ? 1 : 0; });
+  per_device("mog_fleet_device_strikes",
+             "Degradation strikes charged against each device",
+             [&](std::size_t d) { return nodes_[d].strikes; });
   {
-    MetricFamily f;
-    f.name = "mog_fleet_devices";
-    f.help = "Device nodes by liveness state";
-    int alive = 0;
-    for (const DeviceNode& node : nodes_) alive += node.alive ? 1 : 0;
-    f.samples.push_back(
-        {{{"state", "alive"}}, static_cast<double>(alive)});
-    f.samples.push_back(
-        {{{"state", "lost"}},
-         static_cast<double>(static_cast<int>(nodes_.size()) - alive)});
-    families.push_back(std::move(f));
-  }
-  {
-    MetricFamily f;
-    f.name = "mog_fleet_device_up";
-    f.help = "1 while the device node is alive, 0 once declared lost";
-    for (std::size_t d = 0; d < nodes_.size(); ++d)
-      f.samples.push_back({device_label(d), nodes_[d].alive ? 1.0 : 0.0});
-    families.push_back(std::move(f));
-  }
-  {
-    MetricFamily f;
-    f.name = "mog_fleet_open_streams";
-    f.help = "Streams currently admitted per device";
-    for (std::size_t d = 0; d < nodes_.size(); ++d)
-      f.samples.push_back(
-          {device_label(d),
-           static_cast<double>(nodes_[d].server->open_streams())});
-    families.push_back(std::move(f));
-  }
-  {
-    MetricFamily f;
-    f.name = "mog_fleet_device_memory_bytes";
-    f.help = "Device memory held by admitted streams per device";
-    for (std::size_t d = 0; d < nodes_.size(); ++d)
-      f.samples.push_back(
-          {device_label(d),
-           static_cast<double>(nodes_[d].server->device_bytes_in_use())});
-    families.push_back(std::move(f));
-  }
-  {
-    MetricFamily f;
-    f.name = "mog_fleet_device_strikes";
-    f.help = "Degradation strikes charged against each device";
-    for (std::size_t d = 0; d < nodes_.size(); ++d)
-      f.samples.push_back(
-          {device_label(d), static_cast<double>(nodes_[d].strikes)});
-    families.push_back(std::move(f));
-  }
-  {
-    MetricFamily f;
-    f.name = "mog_fleet_masks_delivered_total";
-    f.help = "Masks completed end to end per device";
-    f.type = MetricType::kCounter;
-    for (std::size_t d = 0; d < nodes_.size(); ++d)
-      f.samples.push_back(
-          {device_label(d),
-           static_cast<double>(nodes_[d].server->masks_delivered())});
-    families.push_back(std::move(f));
-  }
-  {
-    MetricFamily f;
-    f.name = "mog_fleet_frames_dropped_total";
-    f.help = "Frames lost to queue drop policies per device";
-    f.type = MetricType::kCounter;
-    for (std::size_t d = 0; d < nodes_.size(); ++d)
-      f.samples.push_back(
-          {device_label(d),
-           static_cast<double>(nodes_[d].server->frames_dropped())});
-    families.push_back(std::move(f));
-  }
-  {
-    MetricFamily f;
-    f.name = "mog_fleet_engine_busy_seconds";
-    f.help = "Cumulative busy time of each device's shared engines";
-    for (std::size_t d = 0; d < nodes_.size(); ++d) {
-      const gpusim::SharedTimeline& tl = nodes_[d].server->timeline();
-      obs::LabelSet dma = device_label(d);
-      dma.emplace_back("engine", "dma");
-      f.samples.push_back({std::move(dma), tl.dma_busy_seconds()});
-      obs::LabelSet kernel = device_label(d);
-      kernel.emplace_back("engine", "kernel");
-      f.samples.push_back({std::move(kernel), tl.kernel_busy_seconds()});
-    }
-    families.push_back(std::move(f));
-  }
-  {
-    MetricFamily f;
-    f.name = "mog_fleet_device_makespan_seconds";
-    f.help = "Modeled completion time per device";
-    for (std::size_t d = 0; d < nodes_.size(); ++d)
-      f.samples.push_back(
-          {device_label(d), nodes_[d].server->makespan_seconds()});
-    families.push_back(std::move(f));
-  }
-  {
-    MetricFamily f;
-    f.name = "mog_fleet_migrations_total";
-    f.help = "Live-migration protocol actions";
-    f.type = MetricType::kCounter;
+    obs::MetricFamily& f = obs::add_family(
+        families, "mog_fleet_migrations_total",
+        "Live-migration protocol actions", MetricType::kCounter);
+    const MigrationStats& m = migration_stats_;
     const std::pair<const char*, std::uint64_t> events[] = {
-        {"attempted", migration_stats_.attempted},
-        {"completed", migration_stats_.completed},
-        {"checkpoint_rejected", migration_stats_.checkpoint_rejected},
-        {"snapshot_retry", migration_stats_.snapshot_retries},
-        {"model_reset", migration_stats_.models_reset},
-        {"capacity_exhausted", migration_stats_.capacity_exhausted},
-        {"frame_requeued", migration_stats_.frames_requeued},
-        {"frame_dropped_in_transit",
-         migration_stats_.frames_dropped_in_transit},
+        {"attempted", m.attempted},
+        {"completed", m.completed},
+        {"checkpoint_rejected", m.checkpoint_rejected},
+        {"snapshot_retry", m.snapshot_retries},
+        {"model_reset", m.models_reset},
+        {"capacity_exhausted", m.capacity_exhausted},
+        {"frame_requeued", m.frames_requeued},
+        {"frame_dropped_in_transit", m.frames_dropped_in_transit},
     };
     for (const auto& [event, count] : events)
-      f.samples.push_back(
-          {{{"event", event}}, static_cast<double>(count)});
-    families.push_back(std::move(f));
+      f.samples.push_back({{{"event", event}}, static_cast<double>(count)});
+  }
+  per_fleet_stream("mog_fleet_stream_device",
+                   "Current device hosting each fleet stream",
+                   MetricType::kGauge,
+                   [](const StreamRec& r) { return r.device; });
+  per_fleet_stream("mog_fleet_stream_migrations_total",
+                   "Completed failovers per fleet stream", MetricType::kCounter,
+                   [](const StreamRec& r) { return r.migrations; });
+
+  // Plane streams: queues, delivery, tier, latency, recovery.
+  per_stream("mog_serve_frames_submitted_total", "Frames offered to submit()",
+             MetricType::kCounter,
+             [](const Stats& s) { return s.queue.submitted; });
+  per_stream("mog_serve_frames_dropped_total",
+             "Frames lost to the queue drop policy", MetricType::kCounter,
+             [](const Stats& s) { return s.queue.dropped; });
+  per_stream("mog_serve_frames_scheduled_total",
+             "Frames popped into the pipeline", MetricType::kCounter,
+             [](const Stats& s) { return s.frames_scheduled; });
+  per_stream("mog_serve_masks_delivered_total", "Masks completed end to end",
+             MetricType::kCounter,
+             [](const Stats& s) { return s.masks_delivered; });
+  per_stream("mog_serve_queue_depth",
+             "Frames currently waiting in the ingress queue",
+             MetricType::kGauge, [](const Stats& s) { return s.queue_depth; });
+  per_stream("mog_serve_queue_high_water",
+             "Maximum ingress queue depth observed", MetricType::kGauge,
+             [](const Stats& s) { return s.queue.high_water; });
+  per_stream("mog_serve_stream_tier",
+             "Degradation-ladder tier (0 tiled GPU, 1 direct GPU, 2 CPU)",
+             MetricType::kGauge,
+             [](const Stats& s) { return static_cast<int>(s.tier); });
+  {
+    obs::MetricFamily& f = obs::add_family(
+        families, "mog_serve_latency_seconds",
+        "End-to-end modeled latency per delivered mask",
+        MetricType::kHistogram);
+    for (std::size_t d = 0; d < planes.size(); ++d)
+      for (std::size_t i = 0; i < planes[d].streams.size(); ++i)
+        f.histograms.push_back(obs::make_histogram(
+            planes[d].streams[i].latencies, stream_label(d, i)));
   }
   {
-    MetricFamily f;
-    f.name = "mog_fleet_stream_device";
-    f.help = "Current device hosting each fleet stream";
-    for (std::size_t i = 0; i < recs_.size(); ++i)
-      f.samples.push_back({{{"stream", strprintf("%zu", i)}},
-                           static_cast<double>(recs_[i].device)});
-    families.push_back(std::move(f));
-  }
-  {
-    MetricFamily f;
-    f.name = "mog_fleet_stream_migrations_total";
-    f.help = "Completed failovers per fleet stream";
-    f.type = MetricType::kCounter;
-    for (std::size_t i = 0; i < recs_.size(); ++i)
-      f.samples.push_back({{{"stream", strprintf("%zu", i)}},
-                           static_cast<double>(recs_[i].migrations)});
-    families.push_back(std::move(f));
-  }
-  {
-    MetricFamily f;
-    f.name = "mog_fleet_latency_seconds";
-    f.help = "End-to-end modeled latency across every device";
-    f.type = MetricType::kHistogram;
-    std::vector<double> all;
-    for (const DeviceNode& node : nodes_) {
-      const std::vector<double> lat = node.server->aggregate_latencies();
-      all.insert(all.end(), lat.begin(), lat.end());
-    }
-    f.histograms.push_back(obs::make_histogram(all, {}));
-    families.push_back(std::move(f));
+    obs::MetricFamily& f = obs::add_family(
+        families, "mog_serve_recovery_actions_total",
+        "Recovery actions taken by each stream's resilient pipeline",
+        MetricType::kCounter);
+    for (std::size_t d = 0; d < planes.size(); ++d)
+      for (std::size_t i = 0; i < planes[d].streams.size(); ++i) {
+        const fault::RecoveryStats& r = planes[d].streams[i].stats.recovery;
+        const std::pair<const char*, std::uint64_t> actions[] = {
+            {"retry", r.retries},          {"mask_reused", r.masks_reused},
+            {"frame_lost", r.frames_lost}, {"checkpoint", r.checkpoints},
+            {"rollback", r.rollbacks},     {"degradation", r.degradations},
+            {"deadline", r.deadline_exceeded},
+        };
+        for (const auto& [action, count] : actions) {
+          obs::LabelSet labels = stream_label(d, i);
+          labels.emplace_back("action", action);
+          f.samples.push_back({std::move(labels), static_cast<double>(count)});
+        }
+      }
   }
 
-  // Global telemetry sinks, when installed (same dedup rule as the member
-  // servers: labelled fleet families win over registry rollups).
-  std::vector<MetricFamily> global;
+  // Plane devices: admission and the shared engines.
+  per_device("mog_serve_open_streams", "Streams currently admitted",
+             [&](std::size_t d) { return planes[d].open_streams(); });
+  per_device("mog_serve_device_memory_bytes",
+             "Aggregate device memory held by admitted streams",
+             [&](std::size_t d) { return planes[d].device_bytes; });
+  per_device("mog_timeline_makespan_seconds",
+             "Modeled completion time across engines and CPU-tier clocks",
+             [&](std::size_t d) { return planes[d].makespan_seconds; });
+  const auto per_engine = [&](const char* name, const char* help, auto value) {
+    obs::MetricFamily& f = obs::add_family(families, name, help);
+    for (std::size_t d = 0; d < planes.size(); ++d) {
+      const serve::PlaneSnapshot& p = planes[d];
+      const std::pair<const char*, double> engines[] = {
+          {"dma", p.dma_busy_seconds}, {"kernel", p.kernel_busy_seconds}};
+      for (const auto& [engine, busy] : engines) {
+        obs::LabelSet labels = device_label(d);
+        labels.emplace_back("engine", engine);
+        f.samples.push_back({std::move(labels), value(p, busy)});
+      }
+    }
+  };
+  per_engine("mog_timeline_engine_busy_seconds",
+             "Cumulative busy time of the shared device engines",
+             [](const serve::PlaneSnapshot&, double busy) { return busy; });
+  per_engine("mog_timeline_engine_utilization",
+             "Engine busy time over the modeled makespan (0 when idle)",
+             [](const serve::PlaneSnapshot& p, double busy) {
+               const double span = p.engine_span_seconds;
+               return span > 0 ? busy / span : 0.0;
+             });
+
+  // Global telemetry sinks, when installed: kernel-counter rollups and
+  // trace-recorder drop health. The planes record their own custom series
+  // (serve.latency_seconds, serve.queue_depth) into the registry, and
+  // append_counter_registry would render those under the same mog_serve_*
+  // names as the labelled families above — drop the duplicates.
+  std::vector<obs::MetricFamily> global;
   if (const telemetry::CounterRegistry* reg = telemetry::counters())
     obs::append_counter_registry(*reg, global);
   if (const telemetry::TraceRecorder* tr = telemetry::tracer())
     obs::append_trace_health(*tr, global);
-  for (MetricFamily& f : global) {
+  for (obs::MetricFamily& f : global) {
     bool duplicate = false;
-    for (const MetricFamily& own : families) duplicate |= own.name == f.name;
+    for (const obs::MetricFamily& own : families)
+      duplicate |= own.name == f.name;
     if (!duplicate) families.push_back(std::move(f));
   }
-
   return obs::render(families);
 }
 
@@ -730,26 +728,15 @@ bool DeviceFleet<T>::healthz(std::string& detail) const {
 
 template <typename T>
 bool DeviceFleet<T>::healthz_locked(std::string& detail) const {
-  int alive = 0;
-  for (const DeviceNode& node : nodes_) alive += node.alive ? 1 : 0;
-  bool ok = alive > 0;
+  bool ok = alive_locked() > 0;
   for (std::size_t d = 0; d < nodes_.size(); ++d) {
     const DeviceNode& node = nodes_[d];
     detail += strprintf("device %zu: %s, %d stream(s), %d strike(s)\n", d,
                         node.alive ? "alive" : "LOST",
                         node.server->open_streams(), node.strikes);
-    std::string sub;
-    const bool node_ok = node.server->healthz(sub);
     // A stream stranded on a lost device (capacity exhausted fleet-wide)
     // keeps the fleet unhealthy until it is back on a GPU tier somewhere.
-    ok = ok && node_ok;
-    std::size_t pos = 0;
-    while (pos < sub.size()) {
-      const std::size_t nl = sub.find('\n', pos);
-      detail += "  " + sub.substr(pos, nl - pos) + "\n";
-      if (nl == std::string::npos) break;
-      pos = nl + 1;
-    }
+    ok = node.server->healthz(detail) && ok;
   }
   return ok;
 }
@@ -757,41 +744,60 @@ bool DeviceFleet<T>::healthz_locked(std::string& detail) const {
 template <typename T>
 std::string DeviceFleet<T>::statusz() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return statusz_locked();
-}
-
-template <typename T>
-std::string DeviceFleet<T>::statusz_locked() const {
-  int alive = 0;
-  for (const DeviceNode& node : nodes_) alive += node.alive ? 1 : 0;
-  std::string out = "== fleet ==\n";
-  out += strprintf("devices: %zu (%d alive), streams: %zu\n", nodes_.size(),
-                   alive, recs_.size());
-  out += migration_stats_.summary() + "\n";
+  std::string out = "== fleet ==\n" + summary_locked() + "\n== recovery ==\n";
   for (std::size_t d = 0; d < nodes_.size(); ++d) {
-    const DeviceNode& node = nodes_[d];
-    out += strprintf(
-        "-- device %zu [%s, %d strike(s), %llu in / %llu out migrations]\n",
-        d, node.alive ? "alive" : "LOST", node.strikes,
-        static_cast<unsigned long long>(node.migrations_in),
-        static_cast<unsigned long long>(node.migrations_out));
-    out += node.server->statusz();
+    const serve::PlaneSnapshot plane = nodes_[d].server->snapshot();
+    for (std::size_t i = 0; i < plane.streams.size(); ++i)
+      out += strprintf("device %zu stream %zu: %s\n", d, i,
+                       plane.streams[i].stats.recovery.summary().c_str());
   }
+  out += "== health ==\n";
+  healthz_locked(out);
+  if (const telemetry::CounterRegistry* reg = telemetry::counters())
+    out += "== kernel counters ==\n" + reg->summary() + "\n";
   return out;
 }
 
 template <typename T>
 std::string DeviceFleet<T>::summary() const {
   std::lock_guard<std::mutex> lock(mu_);
-  int alive = 0;
-  for (const DeviceNode& node : nodes_) alive += node.alive ? 1 : 0;
+  return summary_locked();
+}
+
+template <typename T>
+std::string DeviceFleet<T>::summary_locked() const {
+  const int alive = alive_locked();
   std::string out = strprintf(
       "fleet: %zu device(s), %d alive, %zu stream(s), %s", nodes_.size(),
       alive, recs_.size(), migration_stats_.summary().c_str());
-  for (std::size_t d = 0; d < nodes_.size(); ++d)
-    out += strprintf("\ndevice %zu [%s]: %s", d,
-                     nodes_[d].alive ? "alive" : "LOST",
-                     nodes_[d].server->summary().c_str());
+  for (std::size_t d = 0; d < nodes_.size(); ++d) {
+    const DeviceNode& node = nodes_[d];
+    const serve::PlaneSnapshot plane = node.server->snapshot();
+    out += strprintf(
+        "\ndevice %zu [%s, %d strike(s), %llu in / %llu out migrations]: "
+        "%d open stream(s), makespan %.3f s, device memory %s, "
+        "engines %.3f s dma + %.3f s kernel busy",
+        d, node.alive ? "alive" : "LOST", node.strikes,
+        static_cast<unsigned long long>(node.migrations_in),
+        static_cast<unsigned long long>(node.migrations_out),
+        plane.open_streams(), plane.makespan_seconds,
+        human_bytes(static_cast<double>(plane.device_bytes)).c_str(),
+        plane.dma_busy_seconds, plane.kernel_busy_seconds);
+    for (std::size_t i = 0; i < plane.streams.size(); ++i) {
+      const serve::StreamStats& st = plane.streams[i].stats;
+      const telemetry::Rollup lat =
+          telemetry::make_rollup(plane.streams[i].latencies);
+      out += strprintf(
+          "\n  stream %zu [%s]: %llu in / %llu masks, %llu dropped, "
+          "latency p50 %.3f ms p99 %.3f ms, device %.3f s dma + %.3f s "
+          "kernel",
+          i, fault::to_string(st.tier),
+          static_cast<unsigned long long>(st.queue.submitted),
+          static_cast<unsigned long long>(st.masks_delivered),
+          static_cast<unsigned long long>(st.queue.dropped), lat.p50 * 1e3,
+          lat.p99 * 1e3, st.dma_seconds, st.kernel_seconds);
+    }
+  }
   return out;
 }
 

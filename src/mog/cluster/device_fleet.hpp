@@ -1,13 +1,15 @@
-// Multi-device fleet: N simulated devices behind one serving front end.
+// The serving front end: N >= 1 simulated devices behind one public type.
 //
-// A DeviceFleet owns N device nodes. Each node is a full single-device
-// serving plane — a serve::StreamServer with its own gpusim::SharedTimeline
-// (DMA + compute engines), its own device-memory admission budget, its own
-// pump, and optionally its own fault::FaultInjector. The injector makes the
-// node a *fault domain*: every stream placed on the node shares it, so an
-// injected device failure correlates across exactly the streams that live
-// there and no others — the "one device dies, its cameras fail over, the
-// rest of the fleet never notices" production story.
+// DeviceFleet is the one public serving type — a fleet of one device is a
+// single-device server (bench_serve's s* cases are exactly that). It owns N
+// device nodes. Each node is an internal serve::StreamServer plane with its
+// own gpusim::SharedTimeline (DMA + compute engines), its own device-memory
+// admission budget, its own pump, and optionally its own
+// fault::FaultInjector. The injector makes the node a *fault domain*: every
+// stream placed on the node shares it, so an injected device failure
+// correlates across exactly the streams that live there and no others — the
+// "one device dies, its cameras fail over, the rest of the fleet never
+// notices" production story.
 //
 // Placement: streams are admitted through a ClusterScheduler —
 // least-loaded first with a consistent-hash tiebreak (placement.hpp) — and
@@ -35,10 +37,14 @@
 // in place. Admitted frames are never dropped by a failover; a migration is
 // observable in MigrationStats, the obs log, and /metrics.
 //
-// Observability: the fleet serves aggregated /metrics (per-device families
-// + fleet-level migration counters + a devices-spanning latency histogram),
-// /healthz (per-device and per-stream verdicts; 503 while any admitted
-// stream is off-GPU or model-drifted), and /statusz.
+// Observability: the fleet is the only observability surface. One renderer
+// emits every /metrics family once: fleet-level families (mog_fleet_*:
+// liveness, strikes, migrations, stream placement) and each plane's
+// per-stream and per-engine families (mog_serve_*, mog_timeline_*) with a
+// `device` label — a stream keeps its plane-local `stream` id there, so its
+// counters stay monotone across a migration. /healthz carries per-device and
+// per-stream verdicts (503 while any admitted stream is off-GPU or
+// model-drifted); /statusz and /profilez complete the endpoint.
 //
 // Thread safety: public methods lock the fleet mutex; member servers have
 // their own locks (always acquired after the fleet's, never the reverse).
@@ -47,6 +53,7 @@
 // background; deterministic callers use pump()/drain() synchronously.
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
@@ -54,6 +61,7 @@
 #include <vector>
 
 #include "mog/cluster/placement.hpp"
+#include "mog/obs/http_server.hpp"
 #include "mog/serve/stream_server.hpp"
 
 namespace mog::cluster {
@@ -61,22 +69,13 @@ namespace mog::cluster {
 struct FleetConfig {
   int devices = 2;  ///< device nodes (each a full serving plane)
 
-  /// Template applied to every device node. obs_port is ignored for members
-  /// (the fleet owns the observability endpoint — set FleetConfig::obs_port).
+  /// Template applied to every device node.
   serve::ServeConfig serve;
 
-  int vnodes_per_device = 64;  ///< consistent-hash ring smoothing
-
-  /// Degradation strikes (streams stepping down the recovery ladder) charged
-  /// to a device before it is declared lost and evacuated.
-  int device_loss_strikes = 1;
-
-  /// Migrate streams off lost devices. Off = streams ride the per-stream
-  /// CPU ladder in place (the pre-fleet behavior).
-  bool auto_migrate = true;
-
-  /// Fleet-level observability endpoint (/metrics, /healthz, /statusz);
-  /// -1 disables, 0 binds an ephemeral loopback port.
+  /// Observability endpoint (/metrics, /healthz, /statusz, /profilez),
+  /// served from a thread the fleet owns for its whole lifetime: -1
+  /// disables it (default), 0 binds an ephemeral loopback port (read it
+  /// back via obs_port()), >0 binds that port.
   int obs_port = -1;
 
   void validate() const;
@@ -154,8 +153,8 @@ class DeviceFleet {
   void start();
   void stop();
 
-  /// Operator/chaos entry point: declare device `d` lost now and (with
-  /// auto_migrate) evacuate its streams.
+  /// Operator/chaos entry point: declare device `d` lost now and evacuate
+  /// its streams.
   void fail_device(int d);
 
   int devices() const;
@@ -169,7 +168,6 @@ class DeviceFleet {
   FleetStreamInfo stream_info(int id) const;
   const MigrationStats& migration_stats() const;
 
-  telemetry::Rollup latency_rollup(int id) const;
   telemetry::Rollup aggregate_latency_rollup() const;
   std::uint64_t masks_delivered() const;  ///< fleet-wide
   std::uint64_t frames_dropped() const;   ///< fleet-wide queue drops
@@ -182,11 +180,27 @@ class DeviceFleet {
 
   const FleetConfig& config() const { return config_; }
 
-  // --- observability plane -------------------------------------------------
+  // --- observability plane (the /metrics, /healthz, /statusz bodies; also
+  // callable directly so tests and embedders need no socket) ---------------
+
+  /// Prometheus text exposition: every fleet and plane family, rendered
+  /// once, plus the global CounterRegistry and trace health when telemetry
+  /// sinks are installed.
   std::string metrics_text() const;
+
+  /// Liveness verdict: false while no device is alive or any admitted
+  /// stream is off-GPU or model-drifted. `detail` gets the per-device and
+  /// per-stream lines either way (the /healthz body).
   bool healthz(std::string& detail) const;
+
+  /// Status page: summary(), per-stream recovery, health lines and the
+  /// kernel-counter rollup.
   std::string statusz() const;
+
+  /// Human-readable digest: devices, migrations, and one line per stream.
   std::string summary() const;
+
+  /// Bound observability port; -1 when FleetConfig::obs_port disabled it.
   int obs_port() const { return obs_http_.port(); }
 
   /// Test hook: mutate the serialized snapshot between encode and decode
@@ -215,10 +229,10 @@ class DeviceFleet {
     fault::ExecutionTier last_tier = fault::ExecutionTier::kGpuDirect;
     /// History carried across migrations (prior incarnations).
     std::vector<FrameU8> mask_stash;
-    std::vector<double> latency_stash;
     std::uint64_t masks_stash = 0;
   };
 
+  int alive_locked() const;
   StreamRec& rec_at(int id);
   const StreamRec& rec_at(int id) const;
   std::vector<DeviceLoad> loads_locked(int exclude_device = -1) const;
@@ -228,9 +242,8 @@ class DeviceFleet {
   void declare_lost_locked(int d, const char* reason);
   bool migrate_stream_locked(int id);
   void start_obs_server();
-  std::string metrics_text_locked() const;
   bool healthz_locked(std::string& detail) const;
-  std::string statusz_locked() const;
+  std::string summary_locked() const;
 
   FleetConfig config_;
   mutable std::mutex mu_;

@@ -6,9 +6,10 @@
 // the scheduler's pump thread*, mints the frame's obs trace ticket at decode
 // start, emits a wall-clock "decode" span carrying that ticket as the first
 // hop of the frame's flow chain, and submits the decoded frame through the
-// caller-supplied SubmitFn — in practice StreamServer::submit or
-// DeviceFleet::submit with the pre-minted ticket, which lands the frame in
-// the stream's existing BoundedFrameQueue. Everything downstream —
+// caller-supplied SubmitFn — in practice DeviceFleet::submit, the public
+// serving entry point (tests also drive a bare per-device StreamServer
+// plane), with the pre-minted ticket, which lands the frame in the
+// stream's existing BoundedFrameQueue. Everything downstream —
 // backpressure, admission control, CPU degradation, fleet failover — applies
 // unchanged, because by the queue the frame is indistinguishable from a
 // synthetic one.

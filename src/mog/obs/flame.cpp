@@ -111,25 +111,23 @@ telemetry::Json render_speedscope(const FlameProfile& profile) {
 
   // One speedscope profile per thread, in first-seen (hottest-first) order.
   std::vector<std::string> threads;
-  std::map<std::string, std::pair<Json, Json>> per_thread;  // samples, weights
+  // Arrays are built as Json::Array with every element constructed in place,
+  // then wrapped once.
+  std::map<std::string, std::pair<Json::Array, Json::Array>>
+      per_thread;  // samples, weights
   std::map<std::string, std::uint64_t> thread_total;
   for (const FlameStack& stack : profile.stacks) {
-    auto it = per_thread.find(stack.thread);
-    if (it == per_thread.end()) {
-      threads.push_back(stack.thread);
-      it = per_thread.emplace(stack.thread,
-                              std::make_pair(Json::array(), Json::array()))
-               .first;
-    }
-    Json sample = Json::array();
+    auto [it, inserted] = per_thread.try_emplace(stack.thread);
+    if (inserted) threads.push_back(stack.thread);
+    Json::Array sample;
     if (stack.frames.empty()) {
-      sample.push_back(static_cast<std::uint64_t>(intern(kIdleFrame)));
+      sample.emplace_back(static_cast<std::uint64_t>(intern(kIdleFrame)));
     } else {
       for (const std::string& frame : stack.frames)
-        sample.push_back(static_cast<std::uint64_t>(intern(frame)));
+        sample.emplace_back(static_cast<std::uint64_t>(intern(frame)));
     }
-    it->second.first.push_back(std::move(sample));
-    it->second.second.push_back(stack.count);
+    it->second.first.emplace_back(std::move(sample));
+    it->second.second.emplace_back(stack.count);
     thread_total[stack.thread] += stack.count;
   }
 
@@ -142,8 +140,8 @@ telemetry::Json render_speedscope(const FlameProfile& profile) {
     entry.set("unit", "none");
     entry.set("startValue", std::uint64_t{0});
     entry.set("endValue", thread_total.at(thread));
-    entry.set("samples", std::move(samples));
-    entry.set("weights", std::move(weights));
+    entry.set("samples", Json{std::move(samples)});
+    entry.set("weights", Json{std::move(weights)});
     profiles.push_back(std::move(entry));
   }
 

@@ -149,9 +149,9 @@ telemetry::Json heatmap_to_json(const Heatmap& map) {
   doc.set("blocks", map.blocks);
   Json grids = Json::object();
   for (const GridField& g : kGrids) {
-    Json cells = Json::array();
-    for (const double v : map.*g.member) cells.push_back(v);
-    grids.set(g.name, std::move(cells));
+    // Elements constructed in place, the array wrapped once.
+    const std::vector<double>& grid = map.*g.member;
+    grids.set(g.name, Json{Json::Array(grid.begin(), grid.end())});
   }
   doc.set("grids", std::move(grids));
   return doc;

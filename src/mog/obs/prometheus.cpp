@@ -133,6 +133,15 @@ const char* to_string(MetricType type) {
   return "?";
 }
 
+MetricFamily& add_family(std::vector<MetricFamily>& out, std::string name,
+                         std::string help, MetricType type) {
+  MetricFamily& f = out.emplace_back();
+  f.name = std::move(name);
+  f.help = std::move(help);
+  f.type = type;
+  return f;
+}
+
 std::string sanitize_metric_name(const std::string& name) {
   std::string out = name;
   for (char& c : out)
@@ -329,62 +338,38 @@ std::string validate_exposition(const std::string& text) {
 
 void append_counter_registry(const telemetry::CounterRegistry& registry,
                              std::vector<MetricFamily>& out) {
-  {
-    MetricFamily launches;
-    launches.name = "mog_kernel_launches_total";
-    launches.help = "Simulated kernel launches observed by the registry";
-    launches.type = MetricType::kCounter;
-    launches.samples.push_back(
-        {{}, static_cast<double>(registry.launches())});
-    out.push_back(std::move(launches));
-  }
+  add_family(out, "mog_kernel_launches_total",
+             "Simulated kernel launches observed by the registry",
+             MetricType::kCounter)
+      .samples.push_back({{}, static_cast<double>(registry.launches())});
 
   for (const std::string& metric : registry.metric_names()) {
     const telemetry::Rollup r = registry.rollup(metric);
-    const std::string base = "mog_kernel_" + sanitize_metric_name(metric);
-
-    MetricFamily g;
-    g.name = base;
-    g.help = "Per-launch rollup of simulated profiler metric " + metric;
-    g.type = MetricType::kGauge;
-    g.samples.push_back({{{"stat", "mean"}}, r.mean});
-    g.samples.push_back({{{"stat", "p50"}}, r.p50});
-    g.samples.push_back({{{"stat", "p99"}}, r.p99});
-    out.push_back(std::move(g));
+    add_family(out, "mog_kernel_" + sanitize_metric_name(metric),
+               "Per-launch rollup of simulated profiler metric " + metric)
+        .samples = {{{{"stat", "mean"}}, r.mean},
+                    {{{"stat", "p50"}}, r.p50},
+                    {{{"stat", "p99"}}, r.p99}};
   }
 
-  for (const std::string& series : registry.custom_metric_names()) {
-    MetricFamily h;
-    h.name = "mog_" + sanitize_metric_name(series);
-    h.help = "Distribution of custom series " + series;
-    h.type = MetricType::kHistogram;
-    h.histograms.push_back(make_histogram(registry.samples(series), {}));
-    out.push_back(std::move(h));
-  }
+  for (const std::string& series : registry.custom_metric_names())
+    add_family(out, "mog_" + sanitize_metric_name(series),
+               "Distribution of custom series " + series,
+               MetricType::kHistogram)
+        .histograms.push_back(make_histogram(registry.samples(series), {}));
 }
 
 void append_trace_health(const telemetry::TraceRecorder& recorder,
                          std::vector<MetricFamily>& out) {
-  MetricFamily events;
-  events.name = "mog_trace_events";
-  events.help = "Trace events currently held by the recorder";
-  events.type = MetricType::kGauge;
-  events.samples.push_back({{}, static_cast<double>(recorder.size())});
-  out.push_back(std::move(events));
-
-  MetricFamily capacity;
-  capacity.name = "mog_trace_capacity";
-  capacity.help = "Event capacity of the trace recorder";
-  capacity.type = MetricType::kGauge;
-  capacity.samples.push_back({{}, static_cast<double>(recorder.capacity())});
-  out.push_back(std::move(capacity));
-
-  MetricFamily dropped;
-  dropped.name = "mog_trace_dropped_total";
-  dropped.help = "Trace events dropped after the recorder filled";
-  dropped.type = MetricType::kCounter;
-  dropped.samples.push_back({{}, static_cast<double>(recorder.dropped())});
-  out.push_back(std::move(dropped));
+  add_family(out, "mog_trace_events",
+             "Trace events currently held by the recorder")
+      .samples.push_back({{}, static_cast<double>(recorder.size())});
+  add_family(out, "mog_trace_capacity", "Event capacity of the trace recorder")
+      .samples.push_back({{}, static_cast<double>(recorder.capacity())});
+  add_family(out, "mog_trace_dropped_total",
+             "Trace events dropped after the recorder filled",
+             MetricType::kCounter)
+      .samples.push_back({{}, static_cast<double>(recorder.dropped())});
 }
 
 }  // namespace mog::obs

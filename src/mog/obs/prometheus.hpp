@@ -1,7 +1,7 @@
 // Prometheus text-exposition (version 0.0.4) rendering.
 //
 // The exporter is a pure renderer: callers assemble MetricFamily values from
-// whatever state they own (the serving layer renders its queues and
+// whatever state they own (the device fleet renders its planes' queues and
 // recovery counters; helpers below render the shared telemetry sinks) and
 // render() produces the `# HELP`/`# TYPE`-annotated text a Prometheus
 // scraper ingests. Families keep insertion order so /metrics diffs cleanly
@@ -10,8 +10,9 @@
 // Metric naming scheme (documented in README "Observability"): every family
 // is prefixed `mog_`, subsystem second (`mog_serve_*`, `mog_kernel_*`,
 // `mog_trace_*`, `mog_timeline_*`), with `_total` reserved for counters.
-// Instance dimensions ride on labels: `stream="3"` for per-camera series,
-// `kernel="D"` / `metric=...` / `stat=...` for per-kernel profiler rollups.
+// Instance dimensions ride on labels: `device="0",stream="3"` for per-camera
+// series, `kernel="D"` / `metric=...` / `stat=...` for per-kernel profiler
+// rollups.
 //
 // validate_exposition() checks a rendered page against the text-format
 // grammar (metric/label name charsets, escaping, TYPE/sample consistency,
@@ -56,6 +57,13 @@ struct MetricFamily {
   std::vector<MetricSample> samples;        ///< gauge / counter families
   std::vector<HistogramSeries> histograms;  ///< histogram families
 };
+
+/// Append an empty family to `out` and return it for its samples, so a
+/// family reads as one call plus a sample loop. The reference is valid
+/// until the next append to `out`.
+MetricFamily& add_family(std::vector<MetricFamily>& out, std::string name,
+                         std::string help,
+                         MetricType type = MetricType::kGauge);
 
 /// Map an internal metric name onto the exposition charset
 /// ([a-zA-Z_:][a-zA-Z0-9_:]*): '.', '-', and other invalid bytes become '_'.

@@ -1,10 +1,16 @@
-// Multi-stream serving layer: one simulated device, N camera streams.
+// Per-device serving plane: one simulated device, N camera streams.
 //
-// A StreamServer multiplexes independent camera streams onto one simulated
-// GPU. Functionally each stream owns a fault::ResilientPipeline (its own
-// model state — masks are bit-identical to running that stream alone, which
-// tests assert); *temporally* all streams share one gpusim::SharedTimeline:
-// a single DMA copy engine and a single compute engine, the C2075 contention
+// A StreamServer is the plane behind each node of cluster::DeviceFleet, the
+// public serving type (a fleet of one device is a single-device server). It
+// owns the queues, the pump, admission control, the device timeline and the
+// migration hooks; the fleet owns placement, failover and the whole
+// observability surface (/metrics, /healthz, /statusz, /profilez), which it
+// renders from snapshot() and healthz() of every plane.
+//
+// Functionally each stream owns a fault::ResilientPipeline (its own model
+// state — masks are bit-identical to running that stream alone, which tests
+// assert); *temporally* all streams share one gpusim::SharedTimeline: a
+// single DMA copy engine and a single compute engine, the C2075 contention
 // model of Fig. 5 generalized to incremental multi-stream arrival.
 //
 // Scheduling is a synchronous round pump. Each pump() round, in round-robin
@@ -51,7 +57,6 @@
 
 #include "mog/fault/resilient_pipeline.hpp"
 #include "mog/gpusim/stream_sim.hpp"
-#include "mog/obs/http_server.hpp"
 #include "mog/obs/log.hpp"
 #include "mog/serve/frame_queue.hpp"
 #include "mog/telemetry/counters.hpp"
@@ -81,30 +86,38 @@ struct ServeConfig {
   /// runs / benches that only need counters.
   bool collect_masks = true;
 
-  /// Observability HTTP endpoint (/metrics, /healthz, /statusz, /profilez),
-  /// served from a thread the server owns: -1 disables it (default), 0 binds
-  /// an ephemeral loopback port (tests read it back via obs_port()), >0
-  /// binds that port. The listener runs for the server's whole lifetime, not
-  /// just while the pump thread does — a scrape between pumps is the normal
-  /// case.
-  int obs_port = -1;
-
-  /// Label prefix for this plane's threads in sampling profiles — the pump
-  /// thread shows up as "<profile_label>.pump". DeviceFleet sets "dev<i>"
-  /// per node so one /profilez capture attributes across devices.
-  std::string profile_label = "serve";
-
   void validate() const;
 };
 
 /// Per-stream observability snapshot.
 struct StreamStats {
   QueueStats queue;
+  std::size_t queue_depth = 0;         ///< frames waiting right now
   std::uint64_t frames_scheduled = 0;  ///< frames popped into the pipeline
   std::uint64_t masks_delivered = 0;
   double dma_seconds = 0;     ///< shared copy-engine time reserved
   double kernel_seconds = 0;  ///< shared compute-engine time reserved
   fault::ExecutionTier tier = fault::ExecutionTier::kTiledGpu;
+  bool open = true;
+  /// Recovery counters of the stream's pipeline; frozen at close.
+  fault::RecoveryStats recovery;
+};
+
+/// One consistent read of a plane, taken under its lock: everything the
+/// fleet's observability plane renders for one device.
+struct PlaneSnapshot {
+  struct Stream {
+    StreamStats stats;
+    std::vector<double> latencies;  ///< end-to-end, delivery order
+  };
+  std::vector<Stream> streams;  ///< indexed by plane-local stream id
+  std::size_t device_bytes = 0;
+  double dma_busy_seconds = 0;
+  double kernel_busy_seconds = 0;
+  double engine_span_seconds = 0;  ///< the shared engines' makespan
+  double makespan_seconds = 0;     ///< engines and CPU-tier clocks
+
+  int open_streams() const;
 };
 
 template <typename T>
@@ -112,7 +125,9 @@ class StreamServer {
  public:
   using GpuConfig = typename GpuMogPipeline<T>::Config;
 
-  explicit StreamServer(const ServeConfig& config);
+  /// `device` names the plane in sampling profiles: the pump thread shows
+  /// up as "dev<device>.pump".
+  explicit StreamServer(const ServeConfig& config, int device = 0);
   ~StreamServer();
 
   StreamServer(const StreamServer&) = delete;
@@ -190,14 +205,9 @@ class StreamServer {
   /// Recovery counters of the stream's resilient pipeline.
   fault::RecoveryStats stream_recovery_stats(int id) const;
 
-  /// Raw end-to-end latency samples (per stream / across all streams) — the
-  /// fleet merges these into device-spanning histograms.
-  std::vector<double> latency_samples(int id) const;
+  /// Raw end-to-end latency samples (arrival -> mask download complete)
+  /// across all streams; the fleet merges them into rollups.
   std::vector<double> aggregate_latencies() const;
-
-  /// End-to-end latency (arrival -> mask download complete) rollups.
-  telemetry::Rollup latency_rollup(int id) const;
-  telemetry::Rollup aggregate_latency_rollup() const;
 
   std::uint64_t masks_delivered() const;  ///< aggregate across streams
   std::uint64_t frames_dropped() const;   ///< aggregate queue drops
@@ -209,31 +219,15 @@ class StreamServer {
   /// Aggregate device-memory bytes held by admitted streams.
   std::size_t device_bytes_in_use() const;
 
-  const gpusim::SharedTimeline& timeline() const { return timeline_; }
-  const ServeConfig& config() const { return config_; }
+  /// Every per-stream and per-engine figure the fleet renders on /metrics
+  /// and /statusz, read under one lock.
+  PlaneSnapshot snapshot() const;
 
-  /// Human-readable per-stream digest (examples, logs).
-  std::string summary() const;
-
-  // --- observability plane (the /metrics, /healthz, /statusz bodies; also
-  // callable directly so tests and embedders need no socket) ---------------
-
-  /// Prometheus text exposition: per-stream queue/drop/delivery counters and
-  /// latency histograms, recovery-action counters, shared-engine
-  /// utilization, plus the global CounterRegistry and trace health when
-  /// telemetry sinks are installed.
-  std::string metrics_text() const;
-
-  /// Liveness verdict: true when every open stream is on a GPU tier and its
-  /// model passes fault::validate_model(). `detail` gets one line per open
-  /// stream either way (the /healthz body).
+  /// Per-stream liveness: true when every open stream is on a GPU tier and
+  /// its model passes fault::validate_model(). `detail` gets one indented
+  /// line per open stream either way (the fleet's /healthz and /statusz
+  /// bodies nest them under the device line).
   bool healthz(std::string& detail) const;
-
-  /// Human-readable status page (summary + recovery + engine utilization).
-  std::string statusz() const;
-
-  /// Bound observability port; -1 when ServeConfig::obs_port disabled it.
-  int obs_port() const { return obs_http_.port(); }
 
  private:
   struct PendingDownload {
@@ -258,6 +252,7 @@ class StreamServer {
     bool open = true;
     std::size_t device_bytes = 0;
     fault::ExecutionTier last_tier = fault::ExecutionTier::kTiledGpu;
+    fault::RecoveryStats final_recovery;  ///< frozen when the stream closes
 
     std::uint64_t uploads_outstanding = 0;  ///< scheduled, kernel not yet
     double last_upload_end = 0;
@@ -285,19 +280,17 @@ class StreamServer {
   void emit_window(int id, const char* kind, double start_seconds,
                    double end_seconds);
   void emit_flow(char phase, std::uint64_t ticket, int id, double seconds);
-  void start_obs_server();
-  std::string metrics_text_locked() const;
-  bool healthz_locked(std::string& detail) const;
-  std::string statusz_locked() const;
+  StreamStats stats_locked(const Stream& s) const;
+  double makespan_locked() const;
 
   ServeConfig config_;
+  int device_ = 0;
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<Stream>> streams_;
   gpusim::SharedTimeline timeline_;
   int cursor_ = 0;
   std::size_t bytes_in_use_ = 0;
   obs::ScopedLogger log_{"serve"};
-  obs::HttpServer obs_http_;
 
   std::condition_variable cv_;
   std::thread worker_;

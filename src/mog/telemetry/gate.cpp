@@ -114,7 +114,7 @@ GateResult gate_reports(const Json& baseline, const Json& fresh,
 
       if (!options.include_wall && is_wall_metric(metric)) {
         ++result.metrics_skipped;
-        row.verdict = "skipped_wall";
+        row.verdict = GateVerdict::kSkippedWall;
         const Json* fval =
             fmetrics != nullptr ? fmetrics->find(metric) : nullptr;
         if (fval != nullptr && fval->is_number()) row.fresh = fval->as_number();
@@ -131,7 +131,7 @@ GateResult gate_reports(const Json& baseline, const Json& fresh,
           w.rel_delta = (row.fresh - row.baseline) / row.baseline;
           w.tolerance = options.warn_wall_factor;
           result.warnings.push_back(std::move(w));
-          row.verdict = "warn_wall";
+          row.verdict = GateVerdict::kWarnWall;
         }
         result.comparisons.push_back(std::move(row));
         continue;
@@ -144,7 +144,7 @@ GateResult gate_reports(const Json& baseline, const Json& fresh,
         f.case_name = case_name;
         f.metric = metric;
         result.failures.push_back(f);
-        row.verdict = "missing";
+        row.verdict = GateVerdict::kMissing;
         result.comparisons.push_back(std::move(row));
         continue;
       }
@@ -169,12 +169,23 @@ GateResult gate_reports(const Json& baseline, const Json& fresh,
         f.rel_delta = rel;
         f.tolerance = tol;
         result.failures.push_back(f);
-        row.verdict = "fail";
+        row.verdict = GateVerdict::kFail;
       }
       result.comparisons.push_back(std::move(row));
     }
   }
   return result;
+}
+
+const char* to_string(GateVerdict verdict) {
+  switch (verdict) {
+    case GateVerdict::kPass: return "pass";
+    case GateVerdict::kFail: return "fail";
+    case GateVerdict::kSkippedWall: return "skipped_wall";
+    case GateVerdict::kWarnWall: return "warn_wall";
+    case GateVerdict::kMissing: return "missing";
+  }
+  return "?";
 }
 
 std::string format_gate_result(const std::string& label,
@@ -213,7 +224,7 @@ Json gate_result_to_json(const std::string& label, const GateResult& result) {
     row.set("rel_delta",
             std::isfinite(c.rel_delta) ? Json{c.rel_delta} : Json{nullptr});
     row.set("tolerance", c.tolerance);
-    row.set("verdict", c.verdict);
+    row.set("verdict", to_string(c.verdict));
     rows.push_back(std::move(row));
   }
   root.set("comparisons", std::move(rows));

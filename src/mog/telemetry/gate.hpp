@@ -54,6 +54,13 @@ struct GateFinding {
   std::string describe() const;
 };
 
+/// Outcome of one metric row. A value type, so comparing verdicts compares
+/// values, never string-literal addresses.
+enum class GateVerdict { kPass, kFail, kSkippedWall, kWarnWall, kMissing };
+
+/// "pass", "fail", "skipped_wall", "warn_wall" or "missing".
+const char* to_string(GateVerdict verdict);
+
 /// One baseline-vs-fresh metric comparison, recorded pass or fail — the
 /// machine-readable row behind bench_gate --json.
 struct GateComparison {
@@ -63,8 +70,7 @@ struct GateComparison {
   double fresh = 0;
   double rel_delta = 0;
   double tolerance = 0;
-  const char* verdict = "pass";  ///< "pass", "fail", "skipped_wall",
-                                 ///< "warn_wall", "missing"
+  GateVerdict verdict = GateVerdict::kPass;
 };
 
 struct GateResult {

@@ -33,6 +33,7 @@ class Json {
   Json(std::uint64_t v) : value_(static_cast<double>(v)) {}
   Json(const char* s) : value_(std::string{s}) {}
   Json(std::string s) : value_(std::move(s)) {}
+  explicit Json(Array a) : value_(std::move(a)) {}
 
   static Json array() { return Json{Array{}}; }
   static Json object() { return Json{Object{}}; }

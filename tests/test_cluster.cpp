@@ -18,6 +18,7 @@
 #include "mog/cluster/placement.hpp"
 #include "mog/common/strutil.hpp"
 #include "mog/fault/fault_injector.hpp"
+#include "mog/obs/prometheus.hpp"
 #include "mog/obs/sampler.hpp"
 #include "mog/pipeline/gpu_pipeline.hpp"
 #include "mog/video/scene.hpp"
@@ -413,7 +414,13 @@ TEST(DeviceFleet, MetricsHealthzStatuszReflectFleetState) {
   EXPECT_TRUE(fleet.healthz(detail)) << detail;
   EXPECT_NE(detail.find("LOST"), std::string::npos);
 
+  // The new incarnation serves on: its masks land on the target device.
+  for (int t = 4; t < 6; ++t)
+    ASSERT_TRUE(fleet.submit(id, scene_for(5).frame(t)));
+  fleet.drain();
+
   const std::string metrics = fleet.metrics_text();
+  EXPECT_EQ(obs::validate_exposition(metrics), "") << metrics;
   EXPECT_NE(metrics.find("# TYPE mog_fleet_devices gauge"),
             std::string::npos);
   EXPECT_NE(metrics.find("mog_fleet_devices{state=\"lost\"} 1"),
@@ -421,12 +428,31 @@ TEST(DeviceFleet, MetricsHealthzStatuszReflectFleetState) {
   EXPECT_NE(
       metrics.find("mog_fleet_migrations_total{event=\"completed\"} 1"),
       std::string::npos);
-  EXPECT_NE(metrics.find("# TYPE mog_fleet_latency_seconds histogram"),
+  EXPECT_NE(metrics.find("# TYPE mog_serve_latency_seconds histogram"),
             std::string::npos);
-  EXPECT_NE(metrics.find("mog_fleet_masks_delivered_total"),
+  EXPECT_NE(metrics.find("# TYPE mog_serve_masks_delivered_total counter"),
             std::string::npos);
-  EXPECT_NE(metrics.find("mog_fleet_engine_busy_seconds"),
+  EXPECT_NE(metrics.find("mog_timeline_engine_busy_seconds{device=\"1\","),
             std::string::npos);
+
+  // Every family is rendered once, and the per-stream latency histograms
+  // (one per device-local incarnation) account for every delivered mask.
+  std::set<std::string> families;
+  double latency_count = 0;
+  std::size_t pos = 0;
+  while (pos < metrics.size()) {
+    const std::size_t eol = metrics.find('\n', pos);
+    const std::string line = metrics.substr(pos, eol - pos);
+    pos = eol + 1;
+    if (line.rfind("# TYPE ", 0) == 0) {
+      const std::string name = line.substr(7, line.find(' ', 7) - 7);
+      EXPECT_TRUE(families.insert(name).second) << "duplicate " << name;
+    } else if (line.rfind("mog_serve_latency_seconds_count{", 0) == 0) {
+      latency_count += std::stod(line.substr(line.rfind(' ') + 1));
+    }
+  }
+  EXPECT_GT(latency_count, 0);
+  EXPECT_EQ(latency_count, static_cast<double>(fleet.masks_delivered()));
 
   const std::string status = fleet.statusz();
   EXPECT_NE(status.find("== fleet =="), std::string::npos);

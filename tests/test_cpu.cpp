@@ -248,11 +248,12 @@ TEST_P(CpuConsistency, SimdFlavourAgreesWithSerialDecisions) {
 INSTANTIATE_TEST_SUITE_P(Sweep, CpuConsistency,
                          ::testing::Combine(::testing::Values(3, 5),
                                             ::testing::Bool()),
-                         [](const auto& info) {
+                         [](const auto& param_info) {
                            return "K" +
-                                  std::to_string(std::get<0>(info.param)) +
-                                  (std::get<1>(info.param) ? "_float"
-                                                           : "_double");
+                                  std::to_string(
+                                      std::get<0>(param_info.param)) +
+                                  (std::get<1>(param_info.param) ? "_float"
+                                                                 : "_double");
                          });
 
 // --- per-pixel update kernel properties -------------------------------------

@@ -2,7 +2,7 @@
 // thresholds, deterministic rate limiting), Prometheus text exposition
 // (rendering + grammar validation), the embedded HTTP server over a real
 // socket, frame-ticket trace propagation, trace-truncation surfacing, and an
-// end-to-end /metrics + /healthz scrape of a running StreamServer.
+// end-to-end /metrics + /healthz scrape of a running one-device fleet.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -18,6 +18,8 @@
 #include <thread>
 #include <vector>
 
+#include "mog/cluster/device_fleet.hpp"
+#include "mog/common/strutil.hpp"
 #include "mog/fault/fault_injector.hpp"
 #include "mog/obs/flame.hpp"
 #include "mog/obs/frame_ticket.hpp"
@@ -141,7 +143,7 @@ TEST(Log, RingBufferKeepsLastN) {
   logger.add_sink(&sink);
   logger.set_rate_limit({/*max_burst=*/100, /*every=*/1});
   for (int i = 0; i < 5; ++i)
-    logger.log(LogLevel::kInfo, "t", "m" + std::to_string(i));
+    logger.log(LogLevel::kInfo, "t", strprintf("m%d", i));
   EXPECT_EQ(sink.size(), 3u);
   EXPECT_EQ(sink.total_written(), 5u);
   EXPECT_EQ(sink.snapshot().front().message, "m2");
@@ -370,9 +372,10 @@ std::string http_raw(int port, const std::string& bytes,
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
             0);
-  if (!bytes.empty())
+  if (!bytes.empty()) {
     EXPECT_EQ(::send(fd, bytes.data(), bytes.size(), 0),
               static_cast<ssize_t>(bytes.size()));
+  }
   if (half_close) ::shutdown(fd, SHUT_WR);
   std::string response;
   char buf[4096];
@@ -592,104 +595,118 @@ TEST(Trace, TruncationIsSurfacedInTheExport) {
     EXPECT_NE(ev.find("name")->as_string(), "trace.truncated");
 }
 
-// --- end-to-end: scraping a running StreamServer -----------------------------
+// --- end-to-end: scraping a one-device fleet (a single-device server) -----
+
+cluster::FleetConfig one_device_fleet(int obs_port) {
+  cluster::FleetConfig cfg;
+  cfg.devices = 1;
+  cfg.obs_port = obs_port;
+  return cfg;
+}
+
+cluster::DeviceFleet<double>::GpuConfig small_gpu() {
+  cluster::DeviceFleet<double>::GpuConfig gpu;
+  gpu.width = 48;
+  gpu.height = 36;
+  return gpu;
+}
+
+SyntheticScene small_scene() {
+  SceneConfig sc;
+  sc.width = 48;
+  sc.height = 36;
+  return SyntheticScene{sc};
+}
 
 TEST(ServerObs, MetricsHealthzStatuszOverHttp) {
   telemetry::CounterRegistry reg;
   telemetry::set_counters(&reg);
 
-  serve::ServeConfig cfg;
-  cfg.obs_port = 0;  // ephemeral loopback port
-  serve::StreamServer<double> server{cfg};
-  ASSERT_GT(server.obs_port(), 0);
+  cluster::DeviceFleet<double> fleet{one_device_fleet(0)};  // ephemeral port
+  ASSERT_GT(fleet.obs_port(), 0);
 
-  serve::StreamServer<double>::GpuConfig gpu;
-  gpu.width = 48;
-  gpu.height = 36;
-  SceneConfig sc;
-  sc.width = 48;
-  sc.height = 36;
-  const SyntheticScene scene{sc};
-  const int id = server.open_stream(gpu);
-  for (int t = 0; t < 6; ++t) server.submit(id, scene.frame(t), t / 30.0);
-  server.drain();
+  const SyntheticScene scene = small_scene();
+  const int id = fleet.open_stream(small_gpu());
+  for (int t = 0; t < 6; ++t) fleet.submit(id, scene.frame(t), t / 30.0);
+  fleet.drain();
 
   // /metrics: Prometheus-parseable, right content type, live counters.
-  const std::string metrics = http_get(server.obs_port(), "/metrics");
+  const std::string metrics = http_get(fleet.obs_port(), "/metrics");
   EXPECT_NE(metrics.find("HTTP/1.1 200"), std::string::npos);
   EXPECT_NE(metrics.find(obs::kPrometheusContentType), std::string::npos);
   const std::string page = body_of(metrics);
   EXPECT_EQ(obs::validate_exposition(page), "") << page;
-  EXPECT_NE(
-      page.find("mog_serve_frames_submitted_total{stream=\"0\"} 6"),
-      std::string::npos);
-  EXPECT_NE(page.find("mog_serve_masks_delivered_total{stream=\"0\"} 6"),
+  EXPECT_NE(page.find("mog_serve_frames_submitted_total{device=\"0\","
+                      "stream=\"0\"} 6"),
+            std::string::npos);
+  EXPECT_NE(page.find("mog_serve_masks_delivered_total{device=\"0\","
+                      "stream=\"0\"} 6"),
             std::string::npos);
   EXPECT_NE(page.find("mog_serve_latency_seconds_bucket"), std::string::npos);
-  EXPECT_NE(page.find("mog_timeline_engine_busy_seconds"), std::string::npos);
+  EXPECT_NE(page.find("mog_timeline_engine_busy_seconds{device=\"0\","
+                      "engine=\"dma\"}"),
+            std::string::npos);
   EXPECT_NE(page.find("mog_kernel_launches_total"), std::string::npos);
 
   // /healthz: all streams on a GPU tier, model validates -> 200.
-  const std::string health = http_get(server.obs_port(), "/healthz");
+  const std::string health = http_get(fleet.obs_port(), "/healthz");
   EXPECT_NE(health.find("HTTP/1.1 200"), std::string::npos);
   EXPECT_NE(body_of(health).find("stream 0: tier="), std::string::npos);
 
   // /statusz: human-readable digest.
-  const std::string status = http_get(server.obs_port(), "/statusz");
+  const std::string status = http_get(fleet.obs_port(), "/statusz");
   EXPECT_NE(status.find("HTTP/1.1 200"), std::string::npos);
-  EXPECT_FALSE(body_of(status).empty());
+  EXPECT_NE(body_of(status).find("stream 0 ["), std::string::npos);
 
   telemetry::set_counters(nullptr);
 }
 
 TEST(ServerObs, HealthzFlipsTo503OnForcedDegradation) {
-  serve::ServeConfig cfg;
-  cfg.obs_port = 0;
-  cfg.resilience.retry.max_attempts = 2;
-  cfg.resilience.degrade_after_failures = 1;
-  serve::StreamServer<double> server{cfg};
+  cluster::FleetConfig cfg = one_device_fleet(0);
+  cfg.serve.resilience.retry.max_attempts = 2;
+  cfg.serve.resilience.degrade_after_failures = 1;
+  cluster::DeviceFleet<double> fleet{cfg};
 
   auto injector = std::make_shared<fault::FaultInjector>([] {
     fault::FaultConfig fc;
     fc.launch_fault_prob = 1.0;  // every launch dies -> ladder to CPU tier
     return fc;
   }());
-  serve::StreamServer<double>::GpuConfig gpu;
-  gpu.width = 48;
-  gpu.height = 36;
-  const int id = server.open_stream(gpu, injector);
+  const int id = fleet.open_stream(small_gpu(), injector);
 
-  EXPECT_NE(http_get(server.obs_port(), "/healthz").find("HTTP/1.1 200"),
+  EXPECT_NE(http_get(fleet.obs_port(), "/healthz").find("HTTP/1.1 200"),
             std::string::npos);
 
-  SceneConfig sc;
-  sc.width = 48;
-  sc.height = 36;
-  const SyntheticScene scene{sc};
-  for (int t = 0; t < 4; ++t) server.submit(id, scene.frame(t));
-  server.drain();
-  ASSERT_EQ(server.stream_stats(id).tier, fault::ExecutionTier::kCpuSerial);
+  const SyntheticScene scene = small_scene();
+  for (int t = 0; t < 4; ++t) fleet.submit(id, scene.frame(t));
+  fleet.drain();
+  // The lone device is declared lost, but with nowhere to migrate the
+  // stream rides its own ladder down and keeps delivering on the CPU tier.
+  ASSERT_EQ(fleet.stream_info(id).tier, fault::ExecutionTier::kCpuSerial);
+  EXPECT_EQ(fleet.stream_info(id).masks_delivered, 4u);
+  EXPECT_EQ(fleet.stream_device(id), 0);
 
-  const std::string sick = http_get(server.obs_port(), "/healthz");
+  const std::string sick = http_get(fleet.obs_port(), "/healthz");
   EXPECT_NE(sick.find("HTTP/1.1 503"), std::string::npos);
   EXPECT_NE(body_of(sick).find("cpu-serial"), std::string::npos);
 
   // The degraded tier is also visible on /metrics as a gauge.
-  const std::string page = body_of(http_get(server.obs_port(), "/metrics"));
+  const std::string page = body_of(http_get(fleet.obs_port(), "/metrics"));
   EXPECT_EQ(obs::validate_exposition(page), "") << page;
-  EXPECT_NE(page.find("mog_serve_stream_tier{stream=\"0\"} 2"),
+  EXPECT_NE(page.find("mog_serve_stream_tier{device=\"0\",stream=\"0\"} 2"),
             std::string::npos);
 }
 
 TEST(ServerObs, ObsPortDisabledByDefault) {
-  serve::ServeConfig cfg;
-  serve::StreamServer<double> server{cfg};
-  EXPECT_EQ(server.obs_port(), -1);
+  cluster::FleetConfig cfg;
+  cfg.devices = 1;
+  cluster::DeviceFleet<double> fleet{cfg};
+  EXPECT_EQ(fleet.obs_port(), -1);
   // The in-process bodies still work without a socket.
   std::string detail;
-  EXPECT_TRUE(server.healthz(detail));
-  EXPECT_EQ(obs::validate_exposition(server.metrics_text()), "");
-  EXPECT_FALSE(server.statusz().empty());
+  EXPECT_TRUE(fleet.healthz(detail));
+  EXPECT_EQ(obs::validate_exposition(fleet.metrics_text()), "");
+  EXPECT_FALSE(fleet.statusz().empty());
 }
 
 // --- sampling profiler -------------------------------------------------------

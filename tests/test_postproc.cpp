@@ -94,8 +94,12 @@ TEST(Morphology, MonotoneInclusionProperties) {
   const FrameU8 o = morph_open(m, 1);
   const FrameU8 c = morph_close(m, 1);
   for (std::size_t i = 0; i < m.size(); ++i) {
-    if (o[i]) ASSERT_NE(m[i], 0);
-    if (m[i]) ASSERT_NE(c[i], 0);
+    if (o[i]) {
+      ASSERT_NE(m[i], 0);
+    }
+    if (m[i]) {
+      ASSERT_NE(c[i], 0);
+    }
   }
 }
 
@@ -147,8 +151,11 @@ TEST(MorphologyBorder, ClosingStaysExtensiveAtTheBorder) {
   // frame edge too. A block touching the border must survive closing intact.
   const FrameU8 m = with_rect(8, 8, 0, 0, 3, 3);
   const FrameU8 c = morph_close(m, 1);
-  for (std::size_t i = 0; i < m.size(); ++i)
-    if (m[i]) ASSERT_NE(c[i], 0) << "closing lost a border pixel";
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    if (m[i]) {
+      ASSERT_NE(c[i], 0) << "closing lost a border pixel";
+    }
+  }
 }
 
 TEST(MorphologyBorder, Median3ShrinksWindowAndBreaksTiesToBackground) {

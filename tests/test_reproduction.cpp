@@ -10,8 +10,10 @@
 //   quality:         F lowest, all >= 95% MS-SSIM        (Table IV)
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 
+#include "mog/common/strutil.hpp"
 #include "mog/pipeline/experiment.hpp"
 
 namespace mog {
@@ -50,14 +52,20 @@ const ExperimentResult& tiled_result(int group) {
   cfg.tiled = true;
   cfg.tiled_config.frame_group = group;
   if (cfg.frames < 2 * group) cfg.frames = 2 * group;
-  return cached(cfg, "T" + std::to_string(group));
+  return cached(cfg, strprintf("T%d", group));
 }
 
 struct Band {
+  Band(OptLevel lvl, double paper_x, double lo_x, double hi_x)
+      : level(lvl), paper(paper_x), lo(lo_x), hi(hi_x) {}
   OptLevel level;
+  // gtest prints the parameter's raw bytes into the test name; an explicit
+  // zeroed member in place of the padding keeps that name stable per build.
+  std::int32_t reserved = 0;
   double paper;
   double lo, hi;
 };
+static_assert(sizeof(Band) == 32, "Band must have no implicit padding");
 
 class SpeedupBands : public ::testing::TestWithParam<Band> {};
 
