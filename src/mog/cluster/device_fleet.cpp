@@ -271,7 +271,11 @@ template <typename T>
 void DeviceFleet<T>::supervise_locked() {
   // Charge degradation strikes: a stream stepping down the recovery ladder
   // is evidence against the device hosting it (launch/transfer failures are
-  // device-side in this model; frame-level corruption never degrades).
+  // device-side in this model; frame-level corruption never degrades) —
+  // but only when the faults come from that device's fault domain. A
+  // stream with its own injector (a sick camera) carries its faults with
+  // it: it degrades in place, and striking its host would evacuate a
+  // healthy device and then the next one it migrates to.
   for (std::size_t i = 0; i < recs_.size(); ++i) {
     StreamRec& rec = recs_[i];
     if (!rec.open) continue;
@@ -279,7 +283,7 @@ void DeviceFleet<T>::supervise_locked() {
     const fault::ExecutionTier tier =
         node.server->stream_stats(rec.local_id).tier;
     if (static_cast<int>(tier) > static_cast<int>(rec.last_tier) &&
-        node.alive) {
+        node.alive && rec.own_injector == nullptr) {
       ++node.strikes;
       log_.warn("degradation strike",
                 {{"stream", static_cast<int>(i)},

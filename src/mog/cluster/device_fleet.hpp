@@ -126,7 +126,9 @@ class DeviceFleet {
   /// Admit a stream onto the least-loaded device (consistent-hash
   /// tiebreak on `placement_key`; empty derives a key from the stream id).
   /// A stream-scoped `injector` (a sick camera) follows the stream across
-  /// migrations; without one the stream joins its device's fault domain.
+  /// migrations and its faults charge no device strikes: the stream
+  /// degrades in place. Without one the stream joins its device's fault
+  /// domain.
   /// Throws serve::AdmissionError when every alive device refuses it.
   int open_stream(const GpuConfig& gpu_config,
                   std::shared_ptr<fault::FaultInjector> injector = nullptr,

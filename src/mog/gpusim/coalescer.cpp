@@ -69,12 +69,7 @@ void Coalescer::access(Kind kind, std::span<const std::uint64_t> addrs,
   if (addrs.empty()) return;
   const obs::ProfSpan prof_span{obs::ProfTag::kCoalescerAccess};
   const bool is_load = kind == Kind::kLoad;
-  const unsigned seg_bytes = static_cast<unsigned>(
-      is_load ? load_segment_bytes_ : store_segment_bytes_);
-  const int seg_shift = is_load ? load_seg_shift_ : store_seg_shift_;
-  const auto seg_of = [seg_bytes, seg_shift](std::uint64_t a) {
-    return seg_shift >= 0 ? a >> seg_shift : a / seg_bytes;
-  };
+  const unsigned seg_bytes = segment_bytes(kind);
 
   // Collect the distinct segments the active lanes touch, with per-segment
   // byte coverage. An element may straddle a segment boundary (unaligned
@@ -83,8 +78,8 @@ void Coalescer::access(Kind kind, std::span<const std::uint64_t> addrs,
   // writing overlapping or duplicate addresses count each byte once —
   // summing per-lane extents would let 32 lanes storing the same word claim
   // 128 bytes of a 32-byte segment and mask the ECC read-modify-write
-  // charge below. Only stores consume coverage; loads skip the bookkeeping.
-  //
+  // charge in commit(). Only stores consume coverage; loads skip the
+  // bookkeeping.
   std::uint64_t segs[2 * kWarpSize];
   std::uint64_t covered[2 * kWarpSize];
   int n = 0;
@@ -95,39 +90,50 @@ void Coalescer::access(Kind kind, std::span<const std::uint64_t> addrs,
     covered[j] |= byte_mask(hi - lo) << lo;
   };
   // Warp memory instructions overwhelmingly issue non-decreasing lane
-  // addresses (SoA streams and uniform-stride AoS gathers alike), making
-  // the segment sequence non-decreasing too — then comparing against the
-  // last-recorded segment is a complete dedupe. Detect that cheaply and
-  // keep the general path (arbitrary scatter) on a small open-addressed
-  // index table instead of a per-lane linear scan (O(n²) across the warp).
+  // addresses (SoA streams and uniform-stride AoS gathers alike; full-warp
+  // unit-stride runs never get here, WarpCtx hands them to access_run),
+  // making the segment sequence non-decreasing too — then each segment
+  // dedupes against the tail of those already recorded. Detect that
+  // cheaply and keep the general path (arbitrary scatter) on a small
+  // open-addressed index table instead of a per-lane linear scan (O(n²)
+  // across the warp).
   bool monotone = true;
   for (std::size_t i = 1; i < addrs.size(); ++i)
     monotone &= addrs[i] >= addrs[i - 1];
   // Distinct 128-byte L1 lines touched, for the LSU instruction-replay
-  // charge below. On the monotone path they are counted as boundary
-  // crossings in the same pass as the segments; the scatter path dedupes
-  // with a sorted-insertion pass afterwards.
+  // charge. On the monotone path they are counted as boundary crossings in
+  // the same pass as the segments; the scatter path dedupes with a
+  // sorted-insertion pass afterwards.
   int replay_lines = 0;
   if (monotone) {
     std::uint64_t prev_line = 0;
     for (const std::uint64_t a : addrs) {
-      const std::uint64_t first = seg_of(a);
-      const std::uint64_t last = seg_of(a + bytes_per_lane - 1);
+      const std::uint64_t first = segment_of(kind, a);
+      const std::uint64_t last = segment_of(kind, a + bytes_per_lane - 1);
       for (std::uint64_t s = first; s <= last; ++s) {
-        if (n == 0 || segs[n - 1] != s) {
+        // segs[] stays strictly increasing. A segment at or below the last
+        // one recorded lies within the previous element's interval, whose
+        // segments are all recorded and consecutive at the tail — a
+        // repeated or overlapping element straddling a boundary revisits
+        // them (a plain last-segment comparison recorded them twice).
+        int j;
+        if (n == 0 || s > segs[n - 1]) {
           segs[n] = s;
           covered[n] = 0;
-          ++n;
+          j = n++;
+        } else {
+          j = n - 1 - static_cast<int>(segs[n - 1] - s);
         }
-        if (!is_load) cover(n - 1, a, s);
+        if (!is_load) cover(j, a, s);
       }
       // prev_line is the highest line counted so far; with non-decreasing
       // addresses any line ≤ prev_line was already touched by an earlier
       // element (whose interval reached prev_line), so "new" is exactly
       // "> prev_line" — including line_last when consecutive elements
       // straddle the same boundary.
-      const std::uint64_t line_first = a / 128;
-      const std::uint64_t line_last = (a + bytes_per_lane - 1) / 128;
+      const std::uint64_t line_first = a / kReplayLineBytes;
+      const std::uint64_t line_last =
+          (a + bytes_per_lane - 1) / kReplayLineBytes;
       if (replay_lines == 0 || line_first > prev_line) {
         ++replay_lines;
         prev_line = line_first;
@@ -140,12 +146,12 @@ void Coalescer::access(Kind kind, std::span<const std::uint64_t> addrs,
   } else {
     // slot[] maps a segment hash to its position in segs[]+1. n ≤ 64
     // against 128 slots keeps probes short, and segs[] still records
-    // first-touch order — the L1 lookup below is an LRU, so segment visit
-    // order is semantically load-bearing.
+    // first-touch order — the L1 lookup in commit() is an LRU, so segment
+    // visit order is semantically load-bearing.
     std::uint8_t slot[128] = {};
     for (const std::uint64_t a : addrs) {
-      const std::uint64_t first = seg_of(a);
-      const std::uint64_t last = seg_of(a + bytes_per_lane - 1);
+      const std::uint64_t first = segment_of(kind, a);
+      const std::uint64_t last = segment_of(kind, a + bytes_per_lane - 1);
       for (std::uint64_t s = first; s <= last; ++s) {
         int j;
         if (n > 0 && segs[n - 1] == s) {
@@ -179,15 +185,58 @@ void Coalescer::access(Kind kind, std::span<const std::uint64_t> addrs,
       ++m;
     };
     for (const std::uint64_t a : addrs) {
-      add_line(a / 128);
-      const std::uint64_t last = (a + bytes_per_lane - 1) / 128;
-      if (last != a / 128) add_line(last);
+      add_line(a / kReplayLineBytes);
+      const std::uint64_t last = (a + bytes_per_lane - 1) / kReplayLineBytes;
+      if (last != a / kReplayLineBytes) add_line(last);
     }
     replay_lines = m;
   }
+  commit(kind, segs, covered, n, replay_lines,
+         static_cast<std::uint64_t>(addrs.size()) * bytes_per_lane, stats);
+}
 
-  const std::uint64_t requested =
-      static_cast<std::uint64_t>(addrs.size()) * bytes_per_lane;
+void Coalescer::access_run(Kind kind, std::uint64_t a0, int lanes,
+                           unsigned bytes_per_lane, KernelStats& stats) {
+  if (lanes == 0) return;
+  const obs::ProfSpan prof_span{obs::ProfTag::kCoalescerAccess};
+  MOG_ASSERT(lanes >= 1 && lanes <= kWarpSize && bytes_per_lane >= 1,
+             "a contiguous run is 1..32 lanes of at least one byte");
+  const bool is_load = kind == Kind::kLoad;
+  const std::uint64_t seg_bytes = segment_bytes(kind);
+  // The lanes tile the byte interval [a0, end) without gaps or overlap, so
+  // the touched segments are exactly seg(a0)..seg(end - 1), each covered by
+  // one sub-interval, and the touched replay lines are exactly
+  // line(a0)..line(end - 1). This is what the per-lane monotone walk in
+  // access() computes, in closed form.
+  const std::uint64_t end =
+      a0 + static_cast<std::uint64_t>(lanes) * bytes_per_lane;
+  const std::uint64_t first = segment_of(kind, a0);
+  const std::uint64_t last = segment_of(kind, end - 1);
+  MOG_ASSERT(last - first < 2 * kWarpSize,
+             "contiguous run spans more segments than a warp access can");
+  std::uint64_t segs[2 * kWarpSize];
+  std::uint64_t covered[2 * kWarpSize];
+  int n = 0;
+  for (std::uint64_t s = first; s <= last; ++s, ++n) {
+    segs[n] = s;
+    covered[n] = 0;
+    if (is_load) continue;  // only stores consume coverage
+    const std::uint64_t base = s * seg_bytes;
+    const std::uint64_t lo = std::max(a0, base) - base;
+    const std::uint64_t hi = std::min(end, base + seg_bytes) - base;
+    covered[n] = byte_mask(hi - lo) << lo;
+  }
+  const std::uint64_t line_first = a0 / kReplayLineBytes;
+  const std::uint64_t line_last = (end - 1) / kReplayLineBytes;
+  commit(kind, segs, covered, n, static_cast<int>(line_last - line_first + 1),
+         static_cast<std::uint64_t>(lanes) * bytes_per_lane, stats);
+}
+
+void Coalescer::commit(Kind kind, const std::uint64_t* segs,
+                       const std::uint64_t* covered, int n, int replay_lines,
+                       std::uint64_t requested, KernelStats& stats) {
+  const bool is_load = kind == Kind::kLoad;
+  const unsigned seg_bytes = segment_bytes(kind);
   std::uint64_t transactions = 0;
   std::uint64_t rmw_reads = 0;
 

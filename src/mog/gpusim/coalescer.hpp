@@ -101,6 +101,14 @@ class Coalescer {
   void access(Kind kind, std::span<const std::uint64_t> addrs,
               unsigned bytes_per_lane, KernelStats& stats);
 
+  /// The same instruction when its `lanes` active lanes address the
+  /// contiguous run a0 + i * bytes_per_lane (i = 0..lanes-1): counted in
+  /// closed form, bit-identical to access() on the expanded addresses.
+  /// WarpCtx calls it directly for unit-stride index vectors, skipping the
+  /// per-lane address array.
+  void access_run(Kind kind, std::uint64_t a0, int lanes,
+                  unsigned bytes_per_lane, KernelStats& stats);
+
   /// Reset per-warp state (segment cache) at warp start.
   void begin_warp();
 
@@ -122,6 +130,26 @@ class Coalescer {
   }
 
  private:
+  /// LSU replay granularity: one re-issue per 128-byte L1 line beyond the
+  /// first, whatever the access kind's segment size.
+  static constexpr std::uint64_t kReplayLineBytes = 128;
+
+  unsigned segment_bytes(Kind kind) const {
+    return static_cast<unsigned>(kind == Kind::kLoad ? load_segment_bytes_
+                                                     : store_segment_bytes_);
+  }
+  std::uint64_t segment_of(Kind kind, std::uint64_t addr) const {
+    const int shift = kind == Kind::kLoad ? load_seg_shift_ : store_seg_shift_;
+    return shift >= 0 ? addr >> shift : addr / segment_bytes(kind);
+  }
+
+  /// Shared tail of access()/access_run(): L1 lookup, ECC read-modify-write
+  /// and DRAM row accounting per distinct segment (in first-touch order),
+  /// LSU replay, and the instruction's counters.
+  void commit(Kind kind, const std::uint64_t* segs,
+              const std::uint64_t* covered, int n, int replay_lines,
+              std::uint64_t requested, KernelStats& stats);
+
   int load_segment_bytes_;
   int store_segment_bytes_;
   int page_bytes_;

@@ -6,28 +6,19 @@ namespace mog::gpusim {
 
 namespace detail {
 
-// Function multiversioning keeps the build portable while letting hosts
-// with an FMA unit run the lane loop as vector vfmadd instructions (the
-// "fma" clone; glibc's ifunc resolver picks it at load time). Both clones
-// produce the one correctly-rounded IEEE 754 fma result per lane, so the
-// choice is invisible to every counter and mask byte.
-#if defined(__x86_64__) && defined(__GNUC__)
-#define MOG_FMA_CLONES __attribute__((target_clones("fma", "default")))
-#else
-#define MOG_FMA_CLONES
-#endif
-
-MOG_FMA_CLONES
+// Hosts with an FMA unit run the lane loop as vector vfmadd instructions
+// (the "fma" clone, see MOG_TARGET_CLONES). Both clones produce the one
+// correctly-rounded IEEE 754 fma result per lane, so the choice is
+// invisible to every counter and mask byte.
+MOG_TARGET_CLONES("fma")
 void fma_lanes(const float* a, const float* b, const float* c, float* r) {
   for (int i = 0; i < kWarpSize; ++i) r[i] = std::fma(a[i], b[i], c[i]);
 }
 
-MOG_FMA_CLONES
+MOG_TARGET_CLONES("fma")
 void fma_lanes(const double* a, const double* b, const double* c, double* r) {
   for (int i = 0; i < kWarpSize; ++i) r[i] = std::fma(a[i], b[i], c[i]);
 }
-
-#undef MOG_FMA_CLONES
 
 }  // namespace detail
 

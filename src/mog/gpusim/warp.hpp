@@ -37,6 +37,51 @@ using Addr = std::int64_t;  ///< lane-level index/address arithmetic type
 
 inline constexpr std::uint32_t kFullMask = 0xffffffffu;
 
+// ---------------------------------------------------------------------------
+// ISA-dispatched clones
+// ---------------------------------------------------------------------------
+//
+// The tree builds for baseline x86-64, where the Vec lane loops of 64-bit
+// compares, select, 64-bit multiply and divide run one lane per iteration.
+// Function multiversioning keeps the binary portable while letting hosts
+// with wider vector units run those loops at their width: the compiler
+// emits one clone per listed ISA plus the "default" clone (exactly the
+// baseline code), and the loader's ifunc resolver picks one at start-up.
+//
+// MOG_TARGET_CLONES(isa) is the bare idiom (detail::fma_lanes uses it with
+// "fma"). MOG_KERNEL_BODY marks a non-template warp or block kernel entry
+// point: an "avx2" clone plus `flatten`, so every inlined Vec op, WarpCtx
+// call and lambda of the body compiles into the clone. "avx2" rather than
+// "x86-64-v3": v3 also enables FMA, and the kernels' floating-point results
+// must come only from operations whose IEEE 754 result is unique — the
+// kernel TUs build with -ffp-contract=off (inherited from mog_cpu), and a
+// clone without FMA in its ISA cannot contract even where that flag is
+// missing. vfma stays the single fused site, through fma_lanes. Clang
+// rejects target_clones on templates, so entry points are plain overloads
+// that call the templated body. On other targets or compilers both macros
+// are empty and the code is the portable build. So they are under
+// ThreadSanitizer: a TSan binary holding any target_clones function
+// crashes before main (gcc 12.2), so TSan builds run the default code.
+#if defined(__SANITIZE_THREAD__)
+#define MOG_NO_ISA_CLONES
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define MOG_NO_ISA_CLONES
+#endif
+#endif
+#if defined(__x86_64__) && defined(__has_attribute)
+#if __has_attribute(target_clones) && __has_attribute(flatten)
+#ifndef MOG_NO_ISA_CLONES
+#define MOG_TARGET_CLONES(isa) __attribute__((target_clones(isa, "default")))
+#define MOG_KERNEL_BODY MOG_TARGET_CLONES("avx2") __attribute__((flatten))
+#endif
+#endif
+#endif
+#ifndef MOG_TARGET_CLONES
+#define MOG_TARGET_CLONES(isa)
+#define MOG_KERNEL_BODY
+#endif
+
 /// Register footprint of one lane value, in 32-bit words. Addresses (Addr)
 /// occupy a 64-bit register pair, as on real hardware.
 template <typename T>
@@ -443,6 +488,50 @@ MOG_GPUSIM_CMP(veq, ==)
 // Shared memory
 // ---------------------------------------------------------------------------
 
+namespace detail {
+
+/// Bank-conflict degree of one shared-memory instruction: the largest
+/// number of *distinct* 32-bit words (`words[0..n)`, one per active lane)
+/// any of the 32 banks must serve; the same word from several lanes is a
+/// broadcast and counts once. At least 1.
+///
+/// Strictly increasing words (every positive-stride access, any span)
+/// are all distinct, so there is no broadcast to fold and each
+/// word counts against its bank directly. Any other order dedupes through
+/// a small open-addressed set — order-independent, so the degree does not
+/// depend on lane order.
+inline int bank_conflict_degree(const std::uint32_t* words, int n) {
+  int bank_count[kWarpSize] = {};
+  int degree = 1;
+  const auto count = [&](std::uint32_t word) {
+    degree = std::max(degree, ++bank_count[word % 32u]);
+  };
+  bool increasing = true;
+  for (int i = 1; i < n; ++i) increasing &= words[i] > words[i - 1];
+  if (increasing) {
+    for (int a = 0; a < n; ++a) count(words[a]);
+    return degree;
+  }
+  std::uint32_t seen[64];
+  bool used[64] = {};
+  for (int a = 0; a < n; ++a) {
+    std::uint32_t h = words[a] & 63u;
+    for (;;) {
+      if (!used[h]) {
+        used[h] = true;
+        seen[h] = words[a];
+        count(words[a]);
+        break;
+      }
+      if (seen[h] == words[a]) break;  // broadcast: same word, no conflict
+      h = (h + 1) & 63u;
+    }
+  }
+  return degree;
+}
+
+}  // namespace detail
+
 /// Block-scope shared array handle (storage owned by BlockCtx).
 template <typename T>
 struct SharedSpan {
@@ -570,10 +659,25 @@ class WarpCtx {
   /// inactive lanes read as zero. Records one warp load instruction.
   template <typename T, typename S>
   Vec<T> load(const DevSpan<S>& span, const Vec<Addr>& idx) {
+    const Addr* ip = idx.lanes().data();
+    if (env_.active_mask == kFullMask && is_unit_run(ip)) {
+      // Unit-stride index vector (SoA streams, pixel rows): one bounds
+      // check, a contiguous convert-copy, and the coalescer's closed form.
+      const Addr j0 = ip[0];
+      check_run(span, j0, "device load out of bounds");
+      Vec<T> out = Vec<T>::uninit();
+      T* op = out.lanes().data();
+      const S* sp = span.data + j0;
+      for (int i = 0; i < kWarpSize; ++i) op[i] = static_cast<T>(sp[i]);
+      env_.coalescer->access_run(Coalescer::Kind::kLoad,
+                                 span.addr_of(static_cast<std::size_t>(j0)),
+                                 kWarpSize, sizeof(S), *env_.stats);
+      detail::charge(kCyclesMemIssue);
+      return out;
+    }
     Vec<T> out;  // zero-initialized: inactive lanes read as zero
     std::array<std::uint64_t, kWarpSize> addrs;
     T* op = out.lanes().data();
-    const Addr* ip = idx.lanes().data();
     int n = 0;
     if (env_.active_mask == kFullMask) {
       for (int i = 0; i < kWarpSize; ++i) {
@@ -607,9 +711,20 @@ class WarpCtx {
   /// Scatter: span[idx[i]] = static_cast<S>(v[i]) for active lanes.
   template <typename S, typename T>
   void store(const DevSpan<S>& span, const Vec<Addr>& idx, const Vec<T>& v) {
-    std::array<std::uint64_t, kWarpSize> addrs;
     const Addr* ip = idx.lanes().data();
     const T* vp = v.lanes().data();
+    if (env_.active_mask == kFullMask && is_unit_run(ip)) {
+      const Addr j0 = ip[0];
+      check_run(span, j0, "device store out of bounds");
+      S* dp = span.data + j0;
+      for (int i = 0; i < kWarpSize; ++i) dp[i] = static_cast<S>(vp[i]);
+      env_.coalescer->access_run(Coalescer::Kind::kStore,
+                                 span.addr_of(static_cast<std::size_t>(j0)),
+                                 kWarpSize, sizeof(S), *env_.stats);
+      detail::charge(kCyclesMemIssue);
+      return;
+    }
+    std::array<std::uint64_t, kWarpSize> addrs;
     int n = 0;
     if (env_.active_mask == kFullMask) {
       for (int i = 0; i < kWarpSize; ++i) {
@@ -682,6 +797,22 @@ class WarpCtx {
     std::uint32_t saved_;
   };
 
+  /// Whether lane i indexes idx[0] + i for every lane.
+  static bool is_unit_run(const Addr* ip) {
+    bool unit = true;
+    for (int i = 0; i < kWarpSize; ++i) unit &= ip[i] == ip[0] + i;
+    return unit;
+  }
+
+  /// Bounds check of a full-warp unit run j0..j0+31: it fails exactly when
+  /// some lane's own check would.
+  template <typename S>
+  static void check_run(const DevSpan<S>& span, Addr j0, const char* msg) {
+    const bool in_bounds =
+        j0 >= 0 && static_cast<std::size_t>(j0) + kWarpSize <= span.count;
+    MOG_ASSERT(in_bounds, msg);
+  }
+
   void record_branch(const Pred& p) {
     ++env_.stats->branches_executed;
     detail::charge(kCyclesBranch);
@@ -723,29 +854,8 @@ void WarpCtx::charge_shared(const SharedSpan<T>& sh, const Vec<Addr>& idx) {
           4);
     }
   }
-  // Count each *distinct* word once per bank (same word from several lanes
-  // is a broadcast). Dedupe through a small open-addressed set instead of
-  // the O(n²) pairwise scan; set membership is order-independent, so the
-  // conflict degree is unchanged.
-  std::uint32_t seen[64];
-  bool used[64] = {};
-  int bank_count[kWarpSize] = {};
-  int degree = 1;
-  for (int a = 0; a < n; ++a) {
-    std::uint32_t h = words[a] & 63u;
-    for (;;) {
-      if (!used[h]) {
-        used[h] = true;
-        seen[h] = words[a];
-        const int bank = static_cast<int>(words[a] % 32u);
-        if (++bank_count[bank] > degree) degree = bank_count[bank];
-        break;
-      }
-      if (seen[h] == words[a]) break;  // broadcast: same word, no conflict
-      h = (h + 1) & 63u;
-    }
-  }
   ++env_.stats->shared_accesses;
+  const int degree = detail::bank_conflict_degree(words, n);
   env_.stats->shared_cycles += static_cast<std::uint64_t>(
       degree * (sizeof(T) == 8 ? kCyclesSharedF64 : kCyclesSharedF32));
   detail::charge(kCyclesMemIssue);

@@ -183,6 +183,17 @@ void adaptive_warp(WarpCtx& ctx, const AdaptiveArgs<T>& a) {
             select(bg, Vec<std::int32_t>(0), Vec<std::int32_t>(255)));
 }
 
+// ISA-dispatched entry points (MOG_KERNEL_BODY): each clone inlines the
+// whole warp body above.
+MOG_KERNEL_BODY
+void adaptive_warp_entry(WarpCtx& ctx, const AdaptiveArgs<float>& a) {
+  adaptive_warp(ctx, a);
+}
+MOG_KERNEL_BODY
+void adaptive_warp_entry(WarpCtx& ctx, const AdaptiveArgs<double>& a) {
+  adaptive_warp(ctx, a);
+}
+
 }  // namespace
 
 template <typename T>
@@ -247,7 +258,7 @@ gpusim::KernelStats launch_adaptive_frame(
   cfg.num_threads = static_cast<std::int64_t>(state.num_pixels());
   cfg.threads_per_block = threads_per_block;
   return device.launch(cfg, [&](gpusim::BlockCtx& blk) {
-    blk.parallel([&](WarpCtx& warp) { adaptive_warp(warp, args); });
+    blk.parallel([&](WarpCtx& warp) { adaptive_warp_entry(warp, args); });
   });
 }
 

@@ -266,6 +266,17 @@ void mog_warp(WarpCtx& ctx, const KernelArgs<T>& a) {
   ctx.store(a.foreground, gid, fg_val);
 }
 
+// ISA-dispatched entry points (MOG_KERNEL_BODY): each clone inlines the
+// whole warp body above.
+MOG_KERNEL_BODY
+void mog_warp_entry(WarpCtx& ctx, const KernelArgs<float>& a) {
+  mog_warp(ctx, a);
+}
+MOG_KERNEL_BODY
+void mog_warp_entry(WarpCtx& ctx, const KernelArgs<double>& a) {
+  mog_warp(ctx, a);
+}
+
 }  // namespace
 
 template <typename T>
@@ -287,7 +298,7 @@ gpusim::KernelStats launch_mog_frame(
   cfg.num_threads = static_cast<std::int64_t>(state.num_pixels());
   cfg.threads_per_block = threads_per_block;
   return device.launch(cfg, [&](gpusim::BlockCtx& blk) {
-    blk.parallel([&](WarpCtx& warp) { mog_warp(warp, args); });
+    blk.parallel([&](WarpCtx& warp) { mog_warp_entry(warp, args); });
   });
 }
 

@@ -50,7 +50,8 @@ struct StageArgs {
 /// out[x, y] = op(3x3 window of in at (x, y)): nine masked gathers, one
 /// store, everything through global memory. A full A..F-style chain pays
 /// this once per stage plus a launch boundary in between — the cost fusion
-/// removes.
+/// removes. ISA-dispatched (MOG_KERNEL_BODY).
+MOG_KERNEL_BODY
 void mask_stage_warp(WarpCtx& ctx, const StageArgs& a) {
   const Vec<Addr> gid = ctx.global_ids();
   const Pred live = vlt(gid, a.n);
@@ -103,6 +104,8 @@ struct FusedArgs {
 /// value (zero from staging) and are never consumed — every window sum
 /// recomputes cell validity from frame coordinates, which is what makes the
 /// border semantics exact rather than approximated by halo padding.
+/// ISA-dispatched (MOG_KERNEL_BODY).
+MOG_KERNEL_BODY
 void fused_postproc_block(gpusim::BlockCtx& blk, const FusedArgs& a) {
   const int tpb = blk.threads_per_block();
   const int R = a.num_ops;  // total halo radius of the chain

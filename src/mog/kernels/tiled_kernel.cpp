@@ -162,6 +162,17 @@ void tiled_block(gpusim::BlockCtx& blk, const TiledArgs<T>& a) {
   });
 }
 
+// ISA-dispatched entry points (MOG_KERNEL_BODY): each clone inlines the
+// whole block body, every phase's warp loop included.
+MOG_KERNEL_BODY
+void tiled_block_entry(gpusim::BlockCtx& blk, const TiledArgs<float>& a) {
+  tiled_block(blk, a);
+}
+MOG_KERNEL_BODY
+void tiled_block_entry(gpusim::BlockCtx& blk, const TiledArgs<double>& a) {
+  tiled_block(blk, a);
+}
+
 }  // namespace
 
 template <typename T>
@@ -193,7 +204,7 @@ gpusim::KernelStats launch_tiled_group(
   cfg.num_threads = static_cast<std::int64_t>(state.num_pixels());
   cfg.threads_per_block = config.tile_pixels;
   return device.launch(cfg, [&](gpusim::BlockCtx& blk) {
-    tiled_block(blk, args);
+    tiled_block_entry(blk, args);
   });
 }
 

@@ -274,6 +274,48 @@ TEST(DeviceFleet, RepeatedLaunchFailuresTriggerAutomaticFailover) {
     EXPECT_EQ(served[i], expected[i]) << "frame " << i;
 }
 
+TEST(DeviceFleet, SickCameraDegradesInPlaceWithoutStrikingDevices) {
+  // A stream-scoped injector is the camera's fault, not the device's: the
+  // stream steps down its own ladder where it is, no device takes a strike,
+  // nothing migrates, and the healthy stream keeps bit-exact service.
+  FleetConfig cfg = fleet_config(2);
+  cfg.serve.resilience.retry.max_attempts = 2;
+  cfg.serve.resilience.degrade_after_failures = 1;
+
+  fault::FaultConfig storm;
+  storm.launch_fault_prob = 1.0;
+
+  DeviceFleet<double> fleet{cfg};
+  const int sick = fleet.open_stream(
+      gpu_config(), std::make_shared<fault::FaultInjector>(storm));
+  const int healthy = fleet.open_stream(gpu_config());
+  const int sick_device = fleet.stream_device(sick);
+
+  constexpr int kFrames = 6;
+  for (int t = 0; t < kFrames; ++t) {
+    ASSERT_TRUE(fleet.submit(sick, scene_for(71).frame(t)));
+    ASSERT_TRUE(fleet.submit(healthy, scene_for(72).frame(t)));
+  }
+  fleet.drain();
+
+  EXPECT_EQ(fleet.alive_devices(), 2);
+  EXPECT_EQ(fleet.migration_stats().attempted, 0u);
+  EXPECT_EQ(fleet.stream_device(sick), sick_device);
+  EXPECT_EQ(fleet.stream_info(sick).migrations, 0u);
+  EXPECT_NE(fleet.stream_info(sick).tier, fault::ExecutionTier::kGpuDirect)
+      << "the sick stream must degrade in place";
+  EXPECT_EQ(fleet.stream_info(sick).masks_delivered,
+            static_cast<std::uint64_t>(kFrames));
+  EXPECT_EQ(fleet.stream_info(healthy).tier, fault::ExecutionTier::kGpuDirect);
+  EXPECT_EQ(fleet.frames_dropped(), 0u);
+
+  const std::vector<FrameU8> expected = solo_masks(72, kFrames);
+  const std::vector<FrameU8> served = fleet.take_masks(healthy);
+  ASSERT_EQ(served.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i)
+    EXPECT_EQ(served[i], expected[i]) << "frame " << i;
+}
+
 TEST(DeviceFleet, SamplerCaptureDuringFailoverStaysBitIdentical) {
   // A profile capture running across a device failure must neither disturb
   // the failover (masks stay bit-identical) nor crash when the victim's

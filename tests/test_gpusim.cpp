@@ -1,11 +1,20 @@
 // Tests for the GPU simulator: device memory, coalescing analysis (known
 // address patterns → exact transaction counts), divergence accounting,
-// masked commits, register tracking, shared-memory bank conflicts, the
-// occupancy calculator (checked against CUDA occupancy rules for cc2.0),
-// the timing model, and the transfer schedules.
+// masked commits, register tracking, shared-memory bank conflicts (the
+// coalescer's and the bank model's exact fast paths are checked against
+// brute-force references over fixed seeds), the occupancy calculator
+// (checked against CUDA occupancy rules for cc2.0), the timing model, and
+// the transfer schedules.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <map>
 #include <numeric>
+#include <random>
+#include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "mog/gpusim/kernel_launch.hpp"
@@ -203,6 +212,206 @@ TEST(SegmentCache, LruEviction) {
   EXPECT_FALSE(cache.access(3));  // evicts 2
   EXPECT_TRUE(cache.access(1));
   EXPECT_FALSE(cache.access(2));
+}
+
+// ---------------------------------------------------------------------------
+// Coalescer vs. a brute-force reference
+// ---------------------------------------------------------------------------
+
+using Addrs = std::vector<std::uint64_t>;
+using Kind = Coalescer::Kind;
+
+/// LRU lookup, most recent first: true on a hit; inserts the key either way.
+bool lru_touch(std::deque<std::uint64_t>& lru, std::uint64_t key, int cap) {
+  const auto it = std::find(lru.begin(), lru.end(), key);
+  const bool hit = it != lru.end();
+  if (hit) lru.erase(it);
+  lru.push_front(key);
+  if (static_cast<int>(lru.size()) > cap) lru.pop_back();
+  return hit;
+}
+
+/// The coalescing rules applied byte by byte, with none of Coalescer's
+/// shortcuts: every byte of every active lane marks its segment (in first
+/// touch order, which the L1 LRU depends on) and its 128-byte replay line;
+/// a store segment is read-modify-written unless every one of its bytes was
+/// written. The L1 window and the 32 open DRAM rows are plain deques.
+class RefCoalescer {
+ public:
+  explicit RefCoalescer(const DeviceSpec& spec) : spec_(spec) {}
+
+  void begin_warp() { l1_.clear(); }
+  void set_page_trace(Addrs* trace) { trace_ = trace; }
+
+  void access(Kind kind, const Addrs& addrs, unsigned bpl, KernelStats& s) {
+    if (addrs.empty()) return;
+    const bool load = kind == Kind::kLoad;
+    const std::uint64_t seg = static_cast<std::uint64_t>(
+        load ? spec_.load_segment_bytes : spec_.store_segment_bytes);
+    Addrs order;
+    std::map<std::uint64_t, std::set<std::uint64_t>> written;
+    std::set<std::uint64_t> lines;
+    for (const std::uint64_t a : addrs) {
+      for (std::uint64_t b = a; b < a + bpl; ++b) {
+        if (written.count(b / seg) == 0) order.push_back(b / seg);
+        written[b / seg].insert(b);
+        lines.insert(b / 128);
+      }
+    }
+    std::uint64_t transactions = 0;
+    std::uint64_t rmw = 0;
+    for (const std::uint64_t sg : order) {
+      if (load && lru_touch(l1_, sg, kEffectiveL1SegmentsPerWarp)) continue;
+      ++transactions;
+      if (!load && written[sg].size() != seg) ++rmw;
+      const std::uint64_t page = sg * seg / spec_.dram_page_bytes;
+      if (trace_ != nullptr) {
+        trace_->push_back(page);
+      } else if (!lru_touch(rows_, page, 32)) {
+        ++s.dram_page_switches;
+      }
+    }
+    s.issue_cycles += (lines.size() - 1) * kCyclesLsuReplay;
+    const std::uint64_t requested = addrs.size() * bpl;
+    if (load) {
+      ++s.load_instructions;
+      s.load_transactions += transactions;
+      s.bytes_requested_load += requested;
+      s.bytes_transferred_load += transactions * seg;
+    } else {
+      ++s.store_instructions;
+      s.store_transactions += transactions;
+      s.rmw_transactions += rmw;
+      s.bytes_requested_store += requested;
+      s.bytes_transferred_store += (transactions + rmw) * seg;
+    }
+  }
+
+ private:
+  DeviceSpec spec_;
+  std::deque<std::uint64_t> l1_;
+  std::deque<std::uint64_t> rows_;
+  Addrs* trace_ = nullptr;
+};
+
+/// Every counter the coalescer writes, printed for a readable diff.
+std::string memory_counters(const KernelStats& s) {
+  std::ostringstream os;
+  os << "ld " << s.load_instructions << '/' << s.load_transactions;
+  os << '/' << s.bytes_requested_load << '/' << s.bytes_transferred_load;
+  os << " st " << s.store_instructions << '/' << s.store_transactions;
+  os << '/' << s.rmw_transactions << '/' << s.bytes_requested_store;
+  os << '/' << s.bytes_transferred_store;
+  os << " pages " << s.dram_page_switches << " issue " << s.issue_cycles;
+  return os.str();
+}
+
+/// One random warp memory instruction's lane addresses. `pattern` 0 is a
+/// contiguous run, 1 a uniform stride, 2 a scatter, 3 groups of lanes
+/// sharing an address, 4 overlapping elements one byte apart. Bases are
+/// unaligned and often sit just below a segment, line or page boundary,
+/// so elements straddle it.
+Addrs lane_addrs(std::mt19937_64& rng, unsigned bpl, int lanes, int pattern) {
+  const std::uint64_t boundaries[] = {32, 128, 4096};
+  std::uint64_t base = 0x40000 + rng() % (3 * 4096);
+  if (rng() % 2 == 0) {
+    const std::uint64_t b = boundaries[rng() % 3];
+    base = (base / b + 1) * b - rng() % (lanes * bpl + 1);
+  }
+  Addrs addrs;
+  for (std::uint64_t i = 0; i < static_cast<std::uint64_t>(lanes); ++i) {
+    if (pattern == 0) addrs.push_back(base + i * bpl);
+    if (pattern == 1) addrs.push_back(base + i * bpl * 9);
+    if (pattern == 2) addrs.push_back(base + rng() % 1024);
+    if (pattern == 3) addrs.push_back(base + i / 4 * bpl);
+    if (pattern == 4) addrs.push_back(base + i);
+  }
+  return addrs;
+}
+
+TEST(CoalescerDifferential, ContiguousRunsMatchBruteForce) {
+  // The closed form (access_run()) and the monotone walk access() takes
+  // for the same run, against the byte-by-byte reference: loads
+  // and stores, 1/4/8-byte lanes, unaligned and boundary-straddling bases,
+  // partial warps, with and without the deferred page trace. State carries
+  // across instructions, so L1 and open-row history are compared too.
+  const DeviceSpec spec;
+  const unsigned widths[] = {1, 4, 8};
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    for (const bool traced : {false, true}) {
+      std::mt19937_64 rng{seed};
+      Coalescer via_access{spec, kEffectiveL1SegmentsPerWarp};
+      Coalescer via_run{spec, kEffectiveL1SegmentsPerWarp};
+      RefCoalescer ref{spec};
+      Addrs t_access, t_run, t_ref;
+      if (traced) {
+        via_access.set_page_trace(&t_access);
+        via_run.set_page_trace(&t_run);
+        ref.set_page_trace(&t_ref);
+      }
+      KernelStats s_access, s_run, s_ref;
+      for (int step = 0; step < 400; ++step) {
+        if (step % 16 == 0) {
+          via_access.begin_warp();
+          via_run.begin_warp();
+          ref.begin_warp();
+        }
+        const Kind kind = rng() % 2 == 0 ? Kind::kLoad : Kind::kStore;
+        const unsigned bpl = widths[rng() % 3];
+        int lanes = kWarpSize;
+        if (rng() % 3 == 0) lanes = static_cast<int>(1 + rng() % 32);
+        const Addrs addrs = lane_addrs(rng, bpl, lanes, 0);
+        via_access.access(kind, addrs, bpl, s_access);
+        via_run.access_run(kind, addrs[0], lanes, bpl, s_run);
+        ref.access(kind, addrs, bpl, s_ref);
+        const std::string want = memory_counters(s_ref);
+        ASSERT_EQ(memory_counters(s_access), want)
+            << "access(), seed " << seed << " step " << step;
+        ASSERT_EQ(memory_counters(s_run), want)
+            << "access_run(), seed " << seed << " step " << step;
+      }
+      EXPECT_EQ(t_access, t_ref) << "seed " << seed;
+      EXPECT_EQ(t_run, t_ref) << "seed " << seed;
+      EXPECT_EQ(traced, !t_ref.empty());
+    }
+  }
+}
+
+TEST(CoalescerDifferential, EveryPatternMatchesBruteForce) {
+  // Contiguous runs interleaved with the monotone (uniform stride, shared
+  // and overlapping addresses) and scatter paths on one coalescer, so each
+  // path also inherits L1 and open-row state left by the others.
+  const DeviceSpec spec;
+  const unsigned widths[] = {1, 4, 8};
+  for (const std::uint64_t seed : {11u, 12u, 13u, 14u}) {
+    for (const bool traced : {false, true}) {
+      std::mt19937_64 rng{seed};
+      Coalescer c{spec, kEffectiveL1SegmentsPerWarp};
+      RefCoalescer ref{spec};
+      Addrs t_c, t_ref;
+      if (traced) {
+        c.set_page_trace(&t_c);
+        ref.set_page_trace(&t_ref);
+      }
+      KernelStats s_c, s_ref;
+      for (int step = 0; step < 400; ++step) {
+        if (step % 16 == 0) {
+          c.begin_warp();
+          ref.begin_warp();
+        }
+        const Kind kind = rng() % 2 == 0 ? Kind::kLoad : Kind::kStore;
+        const unsigned bpl = widths[rng() % 3];
+        const int lanes = static_cast<int>(1 + rng() % 32);
+        const int pattern = static_cast<int>(rng() % 5);
+        const Addrs addrs = lane_addrs(rng, bpl, lanes, pattern);
+        c.access(kind, addrs, bpl, s_c);
+        ref.access(kind, addrs, bpl, s_ref);
+        ASSERT_EQ(memory_counters(s_c), memory_counters(s_ref))
+            << "pattern " << pattern << ", seed " << seed << " step " << step;
+      }
+      EXPECT_EQ(t_c, t_ref) << "seed " << seed;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -623,6 +832,137 @@ TEST(Warp, SharedOverCapacityThrows) {
       dev.launch(cfg,
                  [&](BlockCtx& blk) { blk.shared_alloc<double>(7000); }),
       Error);
+}
+
+// ---------------------------------------------------------------------------
+// Shared-memory bank conflicts vs. a brute-force reference
+// ---------------------------------------------------------------------------
+
+using Words = std::vector<std::uint32_t>;
+
+/// Largest number of distinct words any of the 32 banks serves (at least
+/// one): the bank model's definition, by brute force.
+int ref_conflict_degree(const Words& words) {
+  std::map<std::uint32_t, std::set<std::uint32_t>> banks;
+  for (const std::uint32_t w : words) banks[w % 32].insert(w);
+  std::size_t degree = 1;
+  for (const auto& bank : banks) degree = std::max(degree, bank.second.size());
+  return static_cast<int>(degree);
+}
+
+/// n strictly increasing words from w0 to w0 + span (2 <= n <= span + 1),
+/// the interior drawn at random.
+Words increasing(std::mt19937_64& rng, std::uint32_t w0, int span, int n) {
+  Words interior(static_cast<std::size_t>(span - 1));
+  std::iota(interior.begin(), interior.end(), w0 + 1);
+  std::shuffle(interior.begin(), interior.end(), rng);
+  interior.resize(static_cast<std::size_t>(n - 2));
+  Words words{w0, w0 + static_cast<std::uint32_t>(span)};
+  words.insert(words.end(), interior.begin(), interior.end());
+  std::sort(words.begin(), words.end());
+  return words;
+}
+
+TEST(SharedBankDifferential, ConflictDegreeMatchesBruteForce) {
+  for (const std::uint64_t seed : {21u, 22u, 23u, 24u}) {
+    std::mt19937_64 rng{seed};
+    std::vector<Words> cases;
+    cases.push_back({7});
+    for (int rep = 0; rep < 50; ++rep) {
+      const auto w0 = static_cast<std::uint32_t>(rng() % 5000);
+      const int n = 2 + static_cast<int>(rng() % 31);
+      // Spans either side of the one-word-per-bank limit, and a wide one.
+      for (const int span : {31, 32, 33, 200})
+        cases.push_back(increasing(rng, w0, span, std::min(n, span + 1)));
+      cases.push_back(increasing(rng, w0, 31, 32));
+      // A uniform word stride (1: 4-byte elements, 2: 8-byte ones), a
+      // broadcast, a scatter, and the scatter sorted (repeats included).
+      const auto stride = static_cast<std::uint32_t>(1 + rng() % 70);
+      Words strided, scatter;
+      for (int i = 0; i < n; ++i) {
+        strided.push_back(w0 + static_cast<std::uint32_t>(i) * stride);
+        scatter.push_back(w0 + static_cast<std::uint32_t>(rng() % 96));
+      }
+      cases.push_back(strided);
+      cases.push_back(Words(static_cast<std::size_t>(n), w0));
+      cases.push_back(scatter);
+      std::sort(scatter.begin(), scatter.end());
+      cases.push_back(scatter);
+    }
+    for (const Words& words : cases) {
+      const int n = static_cast<int>(words.size());
+      std::ostringstream os;
+      for (const std::uint32_t w : words) os << w << ' ';
+      ASSERT_EQ(detail::bank_conflict_degree(words.data(), n),
+                ref_conflict_degree(words))
+          << "seed " << seed << ", words " << os.str();
+    }
+  }
+}
+
+/// shared_cycles of one shared_load of `idx` under `mask`, run in a warp.
+template <typename T>
+std::uint64_t warp_shared_cycles(const std::vector<Addr>& idx, Pred mask) {
+  Device dev;
+  LaunchConfig cfg;
+  cfg.num_threads = 32;
+  cfg.threads_per_block = 32;
+  const KernelStats s = dev.launch(cfg, [&](BlockCtx& blk) {
+    blk.shared_alloc<std::uint32_t>(3);  // the span below starts at byte 16
+    const SharedSpan<T> sh = blk.shared_alloc<T>(4096 / sizeof(T));
+    blk.parallel([&](WarpCtx& w) {
+      Vec<Addr> v = Vec<Addr>::uninit();
+      std::copy(idx.begin(), idx.end(), v.lanes().begin());
+      w.if_then(mask, [&] { w.shared_load(sh, v); });
+    });
+  });
+  return s.shared_cycles;
+}
+
+/// The bank model's charge for the same access, by brute force over the
+/// active lanes' first words.
+template <typename T>
+std::uint64_t ref_shared_cycles(const std::vector<Addr>& idx, Pred mask) {
+  Words words;
+  for (int i = 0; i < kWarpSize; ++i) {
+    const std::uint64_t byte = 16 + idx[i] * sizeof(T);
+    if (mask.lane(i)) words.push_back(static_cast<std::uint32_t>(byte / 4));
+  }
+  const int cycles = sizeof(T) == 8 ? kCyclesSharedF64 : kCyclesSharedF32;
+  return static_cast<std::uint64_t>(ref_conflict_degree(words) * cycles);
+}
+
+template <typename T>
+void check_shared_charges(std::uint64_t seed) {
+  std::mt19937_64 rng{seed};
+  const Addr last = static_cast<Addr>(4096 / sizeof(T)) - 1;
+  for (int rep = 0; rep < 40; ++rep) {
+    const auto stride = static_cast<Addr>(rng() % 34);  // 0: broadcast
+    const auto base = static_cast<Addr>(rng() % 64);
+    Pred mask{kFullMask};
+    if (rep % 3 != 0) mask.bits = static_cast<std::uint32_t>(rng()) | 1u;
+    std::vector<Addr> idx;
+    for (int i = 0; i < kWarpSize; ++i)
+      idx.push_back(std::min(base + stride * i, last));
+    for (int order = 0; order < 2; ++order) {
+      ASSERT_EQ(warp_shared_cycles<T>(idx, mask),
+                ref_shared_cycles<T>(idx, mask))
+          << sizeof(T) << "-byte, stride " << stride << ", order " << order;
+      std::shuffle(idx.begin(), idx.end(), rng);
+    }
+  }
+}
+
+TEST(SharedBankDifferential, WarpChargesMatchBruteForce) {
+  // Through WarpCtx: word addresses come from 4- and 8-byte element
+  // indices (stride-1 doubles: word stride 2, degree 2), partial masks
+  // compact the active lanes first, and a shuffled lane order sends the
+  // same words through the dedupe instead of the increasing-order path.
+  for (const std::uint64_t seed : {31u, 32u, 33u}) {
+    check_shared_charges<float>(seed);
+    check_shared_charges<std::int32_t>(seed);
+    check_shared_charges<double>(seed);
+  }
 }
 
 TEST(Launch, ValidatesConfig) {
